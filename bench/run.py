@@ -6,7 +6,9 @@ Usage, from the root of a checkout:
 
 The run repeats the study call until ``--seconds`` have passed and reports
 the median round; it sets the workload up three times at the start and once
-before every round, and ``setup_s`` is the median of those.  With ``--trace 1`` it alternates untraced and traced rounds
+before every round, and ``setup_s`` is the median of those.  The SE factor of
+``time_to_target_se_s`` pools every distinct input the run simulated (see
+``workloads.round_config``).  With ``--trace 1`` it alternates untraced and traced rounds
 instead and reports the per-layer metrics of the traced ones, with the
 tracing overhead; the spans go to ``.bench_out/``.  The outputs are checked
 outside the timed window.  The last line of standard output is one JSON
@@ -24,6 +26,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import gc
+import itertools
 import json
 import resource
 import statistics
@@ -98,6 +101,7 @@ class Round:
     fingerprint: str | None = None
     layers: dict | None = None
     error: str | None = None
+    seed: int | None = None
 
 
 def _round(wl, cfg, tap, tracer=None):
@@ -181,36 +185,41 @@ def run(workload: str, seed: int, seconds: float, trace: bool, n_paths: int | No
 
     for _ in range(SETUP_REPEATS):
         timed_setup()
-    rounds, tracers, first = [], [], None
+    rounds, tracers, inputs = [], [], {}
     with tracing.EngineTap() as tap:
         start = time.perf_counter()
-        while True:
+        for k in itertools.count():
+            rcfg = workloads.round_config(wl, cfg, k)
             timed_setup()
             for tracer in (None, tracing.Tracer()) if trace else (None,):
-                rnd, out, calls = _round(wl, cfg, tap, tracer)
+                rnd, out, calls = _round(wl, rcfg, tap, tracer)
+                rnd.seed = rcfg.seed
                 rounds.append(rnd)
                 if tracer is not None:
                     tracers.append(tracer)
-                if first is None and rnd.error is None:
-                    first = out, calls
+                if rnd.error is None and rcfg.seed not in inputs:
+                    inputs[rcfg.seed] = rcfg, out, calls
             if time.perf_counter() - start >= seconds:
                 break
 
-    if first is None:
+    if not inputs:
         raise RuntimeError(f"every round of {workload} failed: {rounds[0].error}")
-    per_op = wl.checks(cfg, *first)
-    expected = wl.fingerprint(first[0])
+    # every distinct input is checked once; a round that repeats an input must
+    # reproduce its first output
+    checked = {seed: (wl.fingerprint(out), wl.decisive_se(out), wl.checks(rcfg, out, calls))
+               for seed, (rcfg, out, calls) in inputs.items()}
     failed, notes = 0, []
     for i, rnd in enumerate(rounds):
         if rnd.error is not None:
             failed += n_ops
             notes.append(f"round {i}: {rnd.error}")
-        elif rnd.fingerprint != expected:
+        elif rnd.fingerprint != checked[rnd.seed][0]:
             failed += n_ops
             notes.append(f"round {i}: output differs from the first round on the same inputs")
         else:
-            failed += sum(1 for msgs in per_op if msgs)
-    notes += [f"operation {k}: {msg}" for k, msgs in enumerate(per_op) for msg in msgs]
+            failed += sum(1 for msgs in checked[rnd.seed][2] if msgs)
+    notes += [f"seed {seed} operation {k}: {msg}" for seed, (_, _, per_op) in checked.items()
+              for k, msgs in enumerate(per_op) for msg in msgs]
 
     good = [r for r in rounds if r.error is None]
     untraced = statistics.median(r.seconds for r in good if r.layers is None)
@@ -224,11 +233,13 @@ def run(workload: str, seed: int, seconds: float, trace: bool, n_paths: int | No
             tracer.write(OUT_DIR / f"trace-{workload}-seed{seed}-{k}.json",
                          workload=workload, seed=seed)
     else:
-        se = wl.decisive_se(first[0])
+        # every input has the same path count, so the mean of the squared SEs
+        # is the squared SE of one round's paths with the variance pooled
+        se2 = statistics.fmean(se ** 2 for _, se, _ in checked.values())
         values = {
             "setup_s": statistics.median(setup_s),
             "study_s": untraced,
-            "time_to_target_se_s": untraced * (se / wl.se_target) ** 2,
+            "time_to_target_se_s": untraced * se2 / wl.se_target ** 2,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         }
         units = END_TO_END_UNITS

@@ -67,3 +67,13 @@ def test_fails_without_package_sources(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode != 0
     assert '"metrics"' not in proc.stdout
+
+
+def test_round_inputs_follow_the_run_seed():
+    workloads = bench.workloads
+    for wl in workloads.WORKLOADS.values():
+        cfg = wl.config(5, TINY_PATHS)
+        seeds = [workloads.round_config(wl, cfg, k).seed for k in range(4)]
+        assert seeds[0] == 5
+        assert seeds == [workloads.round_config(wl, cfg, k).seed for k in range(4)]
+        assert len(set(seeds)) == (4 if wl.reseed_rounds else 1)
