@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .factors import FactorAverages, MarketModel
-from .merton import MertonSolution, _DualCore, solve_merton
+from .merton import _DualCore, solve_merton
 from .utility import UtilitySpec
 
 __all__ = ["ExpansionBundle"]
@@ -35,9 +35,8 @@ class ExpansionBundle:
     """Evaluable expansion terms for one (model, utility, horizon) triple.
 
     Scalar calls accept floats; the vectorized paths accept arrays for x and
-    z with a scalar t (the Monte Carlo engine's access pattern).  Per-z
-    Merton solutions are cached lazily; for a pure power utility all
-    evaluations are closed form.
+    z with a scalar t (the Monte Carlo engine's access pattern).  For a pure
+    power utility all evaluations are closed form.
     """
 
     def __init__(self, model: MarketModel, averages: FactorAverages,
@@ -49,22 +48,14 @@ class ExpansionBundle:
         self.utility = utility
         self.horizon = float(horizon)
         self._dual = None if utility.is_power else _DualCore(utility, n_nodes=n_quad)
-        self._merton_cache: dict[float, MertonSolution] = {}
 
     # -- Merton access ---------------------------------------------------------
 
-    def merton_at(self, z: float) -> MertonSolution:
-        """Merton solution at the averaged Sharpe ratio for slow level z."""
-        key = float(z)
-        if key not in self._merton_cache:
-            lam = float(self.averages.sharpe_rms(key))
-            self._merton_cache[key] = solve_merton(self.utility, lam, self.horizon)
-        return self._merton_cache[key]
-
-    def _surface(self, t, x, z, order=2):
-        """Value/derivative pack at per-point averaged Sharpe; vectorized."""
+    def _surface(self, t, x, z, order=2, rms=None):
+        """Value/derivative pack at per-point averaged Sharpe ``rms`` (looked up
+        from z when not given); vectorized."""
         x_arr = np.asarray(x, dtype=float)
-        lam = np.asarray(self.averages.sharpe_rms(z), dtype=float)
+        lam = np.asarray(self.averages.sharpe_rms(z) if rms is None else rms, dtype=float)
         tau = self.horizon - t
         u = self.utility
         if u.is_power:
@@ -120,45 +111,50 @@ class ExpansionBundle:
         p = pack if pack is not None else self._surface(t, x, z, order=3)
         return p["r"] * p["m_x"] * (p["r_x"] - 1.0)
 
+    def _prefactors(self, t, z, row, slopes=False):
+        """Prefactors of D1^2 v in the corrections, from a FactorAverages.table row:
+        fast -(1/2) tau rho1 coupling, slow (1/2) tau^2 rho2 mean rms rms' g, and
+        with ``slopes`` their z-derivatives."""
+        tau = self.horizon - t
+        rms, mean, rms_p, coup = row[:4]
+        gz = np.asarray(self.model.slow_vol(z))
+        c_fast = -0.5 * tau * self.model.rho1
+        c_slow = 0.5 * tau**2 * self.model.rho2
+        prefs = (c_fast * coup, c_slow * mean * rms * rms_p * gz)
+        if not slopes:
+            return prefs
+        mean_p, rms_pp, coup_p = row[4:]
+        gz_p = np.asarray(self.model.slow_vol_d1(z))
+        slow_z = c_slow * (
+            mean_p * rms * rms_p * gz
+            + mean * rms_p**2 * gz
+            + mean * rms * rms_pp * gz
+            + mean * rms * rms_p * gz_p
+        )
+        return prefs + (c_fast * coup_p, slow_z)
+
+    def _corrections(self, t, x, z):
+        """Leading-order pack and the fast and slow first-order corrections."""
+        row = self.averages.table(z, slopes=False)
+        p = self._surface(t, x, z, order=3, rms=row[0])
+        d1sq = self.d1sq(t, x, z, pack=p)
+        fast, slow = self._prefactors(t, z, row)
+        return p, fast * d1sq, slow * d1sq
+
     def fast_correction(self, t, x, z):
         """First-order correction from the fast factor (vanishes at t = T)."""
-        tau = self.horizon - t
-        pref = -0.5 * tau * self.model.rho1 * np.asarray(self.averages.coupling(z))
-        return pref * self.d1sq(t, x, z)
+        return self._corrections(t, x, z)[1]
 
     def slow_correction(self, t, x, z):
         """First-order correction from the slow factor (vanishes at t = T)."""
-        tau = self.horizon - t
-        a = self.averages
-        pref = (
-            0.5
-            * tau**2
-            * self.model.rho2
-            * np.asarray(a.sharpe_mean(z))
-            * np.asarray(a.sharpe_rms(z))
-            * np.asarray(a.sharpe_rms_slope(z))
-            * np.asarray(self.model.slow_vol(z))
-        )
-        return pref * self.d1sq(t, x, z)
+        return self._corrections(t, x, z)[2]
 
     def first_order_value(self, t, x, z, eps: float | None = None,
                           delta: float | None = None):
         """Q = v + sqrt(eps) fast + sqrt(delta) slow; Q(T, x, z) = U(x)."""
         eps = self.model.epsilon if eps is None else eps
         delta = self.model.delta if delta is None else delta
-        tau = self.horizon - t
-        p = self._surface(t, x, z, order=3)
-        d1sq = self.d1sq(t, x, z, pack=p)
-        a = self.averages
-        fast = -0.5 * tau * self.model.rho1 * np.asarray(a.coupling(z)) * d1sq
-        slow = (
-            0.5 * tau**2 * self.model.rho2
-            * np.asarray(a.sharpe_mean(z))
-            * np.asarray(a.sharpe_rms(z))
-            * np.asarray(a.sharpe_rms_slope(z))
-            * np.asarray(self.model.slow_vol(z))
-            * d1sq
-        )
+        p, fast, slow = self._corrections(t, x, z)
         return p["m"] + np.sqrt(eps) * fast + np.sqrt(delta) * slow
 
     def pi_zero(self, t, x, y, z):
@@ -206,13 +202,15 @@ class ExpansionBundle:
 
     # -- gradients for the martingale control variate ---------------------------
 
-    def q_gradients(self, t, x, z, eps=None, delta=None):
+    def q_gradients(self, t, x, z, eps=None, delta=None, row=None):
         """(d/dx Q, d/dz Q) sharing one derivative pack; feeds the control variate.
 
+        ``row`` is ``averages.table(z)`` when the caller already holds it (the
+        engine evaluates one table per step and shares it across strategies).
         The x-gradient is exact for every term (using d/dx D1^2 v).  In the
         z-gradient the leading term uses the exact Vega-Gamma identity; for
         the two correction terms the z-derivatives of the averaged prefactors
-        come from the cached splines, and the z-derivative of D1^2 v itself
+        come from the factor table, and the z-derivative of D1^2 v itself
         is included exactly for power utilities (where D1^2 v is proportional
         to v) and omitted otherwise.  Both gradients only multiply Brownian
         increments inside the control variate, so truncations here affect
@@ -222,19 +220,15 @@ class ExpansionBundle:
         delta = self.model.delta if delta is None else delta
         tau = self.horizon - t
         sqrt_eps, sqrt_delta = np.sqrt(eps), np.sqrt(delta)
-        a = self.averages
-        p = self._surface(t, x, z, order=4)
-        rms = np.asarray(a.sharpe_rms(z))
-        rms_p = np.asarray(a.sharpe_rms_slope(z))
-        coup = np.asarray(a.coupling(z))
-        mean = np.asarray(a.sharpe_mean(z))
-        gz = np.asarray(self.model.slow_vol(z))
-        fast_pref = -0.5 * tau * self.model.rho1 * coup
-        slow_pref = 0.5 * tau**2 * self.model.rho2 * mean * rms * rms_p * gz
+        if row is None:
+            row = self.averages.table(z)
+        rms, rms_p = row[0], row[2]
+        p = self._surface(t, x, z, order=4, rms=rms)
+        fast, slow, fast_z, slow_z = self._prefactors(t, z, row, slopes=True)
 
         # d/dx D1^2 v = M_x [ (R_x - 1)^2 + R R_xx ]
         d1sq_x = p["m_x"] * ((p["r_x"] - 1.0) ** 2 + p["r"] * p["r_xx"])
-        q_x = p["m_x"] + (sqrt_eps * fast_pref + sqrt_delta * slow_pref) * d1sq_x
+        q_x = p["m_x"] + (sqrt_eps * fast + sqrt_delta * slow) * d1sq_x
 
         d1 = p["r"] * p["m_x"]
         d1sq = d1 * (p["r_x"] - 1.0)
@@ -244,25 +238,6 @@ class ExpansionBundle:
             d1sq_z = k1**2 * v_z
         else:
             d1sq_z = 0.0
-        coup_p = np.asarray(a.coupling_slope(z))
-        fast_z = -0.5 * tau * self.model.rho1 * (coup_p * d1sq + coup * d1sq_z)
-        mean_p = np.asarray(a.sharpe_mean_slope(z))
-        rms_pp = np.asarray(a.sharpe_rms_curve(z))
-        gz_p = np.asarray(self.model.slow_vol_d1(z))
-        slow_pref_z = (
-            mean_p * rms * rms_p * gz
-            + mean * rms_p**2 * gz
-            + mean * rms * rms_pp * gz
-            + mean * rms * rms_p * gz_p
-        )
-        slow_z = 0.5 * tau**2 * self.model.rho2 * (slow_pref_z * d1sq + mean * rms * rms_p * gz * d1sq_z)
-        q_z = v_z + sqrt_eps * fast_z + sqrt_delta * slow_z
+        q_z = (v_z + sqrt_eps * (fast_z * d1sq + fast * d1sq_z)
+               + sqrt_delta * (slow_z * d1sq + slow * d1sq_z))
         return q_x, q_z
-
-    def q_gradient_x(self, t, x, z, eps=None, delta=None):
-        """d/dx of Q; see :meth:`q_gradients`."""
-        return self.q_gradients(t, x, z, eps=eps, delta=delta)[0]
-
-    def q_gradient_z(self, t, x, z, eps=None, delta=None):
-        """d/dz of Q; see :meth:`q_gradients`."""
-        return self.q_gradients(t, x, z, eps=eps, delta=delta)[1]

@@ -62,6 +62,7 @@ from .simulate import (
     simulate_paths,
     summarize,
     _pair_statistics,
+    _STEP_DIVISOR,
 )
 from .utility import make_utility
 
@@ -390,6 +391,11 @@ def load_run_config(source: str | Path) -> RunConfig:
         raise ConfigError("slope_band must be 'lo, hi' with lo < hi")
     if cfg.utility_kind not in ("power", "power_mixture"):
         raise ConfigError(f"unknown utility kind {cfg.utility_kind!r}")
+    if cfg.step_divisor < _STEP_DIVISOR:
+        raise ConfigError(
+            f"sim.step_divisor must be at least {_STEP_DIVISOR} so that dt resolves "
+            f"the fast scale, got {cfg.step_divisor}"
+        )
     return cfg
 
 

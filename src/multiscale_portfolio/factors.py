@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
     "solve_poisson",
     "fast_coupling",
     "FactorAverages",
+    "TABLE_COLUMNS",
     "averaged_sharpe",
     "SHARPE_REGISTRY",
     "SIGMA_REGISTRY",
@@ -277,13 +279,20 @@ def _richardson_slope(f, z, h):
     return (4.0 * fine - coarse) / 3.0
 
 
-class FactorAverages:
-    """z-indexed averaged quantities, exact or cached on a z-grid.
+TABLE_COLUMNS = ("sharpe_rms", "sharpe_mean", "sharpe_rms_slope", "coupling",
+                 "sharpe_mean_slope", "sharpe_rms_curve", "coupling_slope")
+_N_VALUES = 4  # the tabulated averages; the last three columns are their z-slopes
 
-    With ``z_grid`` given, all quantities are precomputed at the grid nodes
-    and interpolated with cubic splines (recomputing the quadratures inside a
-    Monte Carlo step loop would dominate the runtime); without it every call
-    performs the full quadrature.
+
+class FactorAverages:
+    """z-indexed averaged quantities (TABLE_COLUMNS), exact or cached on a z-grid.
+
+    With a uniform ``z_grid`` given, the four averages are computed at the
+    grid nodes and stacked into one not-a-knot cubic, so ``table(z)`` costs
+    one interval lookup and one Horner pass for all seven columns
+    (recomputing the quadratures inside a Monte Carlo step loop would dominate
+    the runtime); z off the grid is an error, never an extrapolation.  Without
+    it every column is the full quadrature, slopes by Richardson differences.
     """
 
     def __init__(self, model: MarketModel, z_grid: np.ndarray | None = None,
@@ -292,32 +301,30 @@ class FactorAverages:
         self.n_quad = n_quad
         self.slope_step = slope_step
         self._poisson_cache: dict[float, PoissonSolution] = {}
-        self._splines = None
+        rms = partial(_rms_sharpe_exact, model, n_quad=n_quad)
+        mean = partial(invariant_average, model, model.sharpe, n_quad=n_quad)
+        coupling = partial(fast_coupling, model, n_quad=n_quad)
+        rms_slope = self._slope(rms)
+        self._exact = (rms, mean, rms_slope, coupling,
+                       self._slope(mean), self._slope(rms_slope, 10.0), self._slope(coupling))
+        self._coef = None
         if z_grid is not None:
             z_grid = np.asarray(z_grid, dtype=float)
-            if z_grid.size < 8:
+            if z_grid.ndim != 1 or z_grid.size < 8:
                 raise ValueError("z-grid needs at least 8 nodes for cubic interpolation")
-            rms = np.array([_rms_sharpe_exact(model, z, n_quad) for z in z_grid])
-            mean = np.array(
-                [invariant_average(model, model.sharpe, z, n_quad) for z in z_grid]
-            )
-            slope = np.array([self._rms_slope_exact(z) for z in z_grid])
-            coup = np.array([fast_coupling(model, z, n_quad) for z in z_grid])
-            self._splines = {
-                "rms": CubicSpline(z_grid, rms),
-                "mean": CubicSpline(z_grid, mean),
-                "slope": CubicSpline(z_grid, slope),
-                "coupling": CubicSpline(z_grid, coup),
-            }
+            step = (z_grid[-1] - z_grid[0]) / (z_grid.size - 1)
+            if not (step > 0.0 and np.allclose(np.diff(z_grid), step, rtol=1e-9, atol=0.0)):
+                raise ValueError("z-grid must be uniform and increasing")
+            nodes = np.array([[f(z) for f in self._exact[:_N_VALUES]] for z in z_grid])
+            # _coef[column, k, i] multiplies (z - z_i)^(3 - k) on interval i
+            self._coef = np.ascontiguousarray(CubicSpline(z_grid, nodes).c.transpose(2, 0, 1))
+            self._inv_step = 1.0 / step
             self.z_grid = z_grid
 
-    # -- exact quadrature paths ---------------------------------------------
-
-    def _rms_slope_exact(self, z):
-        h = self.slope_step * max(1.0, abs(z))
-        return _richardson_slope(
-            lambda zz: _rms_sharpe_exact(self.model, zz, self.n_quad), z, h
-        )
+    def _slope(self, f, scale=1.0):
+        def slope(z):
+            return _richardson_slope(f, z, scale * self.slope_step * max(1.0, abs(z)))
+        return slope
 
     def _poisson(self, z: float) -> PoissonSolution:
         key = float(z)
@@ -331,64 +338,66 @@ class FactorAverages:
             return np.array([fn(float(zz)) for zz in np.ravel(z)]).reshape(np.shape(z))
         return fn(float(z))
 
+    def table(self, z, slopes: bool = True) -> np.ndarray:
+        """TABLE_COLUMNS at z, shape (7,) + shape(z); only the four averages
+        without ``slopes``.  Raises ValueError for z off a cached grid."""
+        n_cols = len(TABLE_COLUMNS) if slopes else _N_VALUES
+        if self._coef is None:
+            return np.stack([self._vectorize(f, z) for f in self._exact[:n_cols]])
+        z = np.asarray(z, dtype=float)
+        flat = z.reshape(-1)
+        lo, hi = self.z_grid[0], self.z_grid[-1]
+        if flat.size and not (lo <= flat.min() and flat.max() <= hi):
+            raise ValueError(
+                f"z in [{flat.min():.6g}, {flat.max():.6g}] falls outside the cached "
+                f"z-grid [{lo:.6g}, {hi:.6g}]"
+            )
+        # uniform grid: the interval index is arithmetic, and z >= lo keeps it >= 0
+        idx = np.minimum(((flat - lo) * self._inv_step).astype(np.intp),
+                         self._coef.shape[2] - 1)
+        dx = flat - self.z_grid[idx]
+        out = np.empty((n_cols, flat.size))
+        for j in range(_N_VALUES):
+            c3, c2, c1, c0 = (c[idx] for c in self._coef[j])
+            out[j] = ((c3 * dx + c2) * dx + c1) * dx + c0
+            if slopes and j:  # the slope of column j is column 3 + j
+                out[_N_VALUES - 1 + j] = (3.0 * c3 * dx + 2.0 * c2) * dx + c1
+        return out.reshape((n_cols,) + z.shape)
+
+    def _column(self, j, z):
+        if self._coef is None:
+            return self._vectorize(self._exact[j], z)
+        return self.table(z, slopes=j >= _N_VALUES)[j]
+
     # -- public surface -------------------------------------------------------
 
     def sharpe_rms(self, z):
         """sqrt(<lam^2(., z)>), the Sharpe ratio the leading-order value sees."""
-        if self._splines is not None:
-            return self._splines["rms"](z)
-        return self._vectorize(lambda zz: _rms_sharpe_exact(self.model, zz, self.n_quad), z)
+        return self._column(0, z)
 
     def sharpe_mean(self, z):
         """<lam(., z)>."""
-        if self._splines is not None:
-            return self._splines["mean"](z)
-        return self._vectorize(
-            lambda zz: invariant_average(self.model, self.model.sharpe, zz, self.n_quad), z
-        )
+        return self._column(1, z)
 
     def sharpe_rms_slope(self, z):
         """d/dz of sharpe_rms, by Richardson-extrapolated central differences."""
-        if self._splines is not None:
-            return self._splines["slope"](z)
-        return self._vectorize(self._rms_slope_exact, z)
+        return self._column(2, z)
 
     def coupling(self, z):
         """<lam a theta_y>(z)."""
-        if self._splines is not None:
-            return self._splines["coupling"](z)
-        return self._vectorize(lambda zz: fast_coupling(self.model, zz, self.n_quad), z)
+        return self._column(3, z)
 
     def sharpe_mean_slope(self, z):
-        if self._splines is not None:
-            return self._splines["mean"](z, 1)
-
-        def one(zz):
-            h = self.slope_step * max(1.0, abs(zz))
-            return _richardson_slope(lambda w: self.sharpe_mean(w), zz, h)
-
-        return self._vectorize(one, z)
+        """d/dz of sharpe_mean."""
+        return self._column(4, z)
 
     def sharpe_rms_curve(self, z):
         """Second z-derivative of sharpe_rms."""
-        if self._splines is not None:
-            return self._splines["slope"](z, 1)
-
-        def one(zz):
-            h = 10.0 * self.slope_step * max(1.0, abs(zz))
-            return _richardson_slope(lambda w: self.sharpe_rms_slope(w), zz, h)
-
-        return self._vectorize(one, z)
+        return self._column(5, z)
 
     def coupling_slope(self, z):
-        if self._splines is not None:
-            return self._splines["coupling"](z, 1)
-
-        def one(zz):
-            h = self.slope_step * max(1.0, abs(zz))
-            return _richardson_slope(lambda w: self.coupling(w), zz, h)
-
-        return self._vectorize(one, z)
+        """d/dz of coupling."""
+        return self._column(6, z)
 
     def corrector(self, y, z: float):
         """theta(y, z), zero-average in y."""

@@ -209,6 +209,8 @@ class SimConfig:
 
 def dt_for(model: MarketModel, divisor: int = _STEP_DIVISOR) -> float:
     """Step-size rule resolving the fastest time scale."""
+    if divisor <= 0:
+        raise ValueError(f"step divisor must be positive, got {divisor}")
     return min(model.epsilon, model.delta) / divisor
 
 
@@ -333,16 +335,22 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
         sig = model.sigma(y, z)
         mu = lam * sig
         gz = model.slow_vol(z)
+        # one factor table per step, shared by every strategy's CV gradients
+        tab = bundle.averages.table(z) if cfg.control_variate else None
 
         for k, strat in enumerate(strategies):
             x = xs[k]
             pi = strat.position(t, x, y, z)
             alive = x > 0.0
 
-            if cfg.control_variate and np.any(alive):
-                qx = np.zeros(n_chunk)
-                qz = np.zeros(n_chunk)
-                qx[alive], qz[alive] = bundle.q_gradients(t, x[alive], z[alive])
+            if cfg.control_variate and alive.any():
+                if alive.all():
+                    qx, qz = bundle.q_gradients(t, x, z, row=tab)
+                else:
+                    qx = np.zeros(n_chunk)
+                    qz = np.zeros(n_chunk)
+                    qx[alive], qz[alive] = bundle.q_gradients(t, x[alive], z[alive],
+                                                              row=tab[:, alive])
                 res.cv[k] += qx * pi * sig * dw + qz * sqrt_delta * gz * dwz
 
             if collect_drag:

@@ -13,6 +13,7 @@ from multiscale_portfolio.factors import (
     SIGMA_REGISTRY,
     SLOW_VOL_REGISTRY,
     averaged_sharpe,
+    z_cache_grid,
 )
 from multiscale_portfolio.utility import make_utility
 
@@ -176,6 +177,21 @@ def test_q_gradient_z_matches_finite_difference():
         fd = (b.first_order_value(t, x, z + h) - b.first_order_value(t, x, z - h)) / (2 * h)
         qz = float(b.q_gradients(t, np.array([x]), np.array([z]))[1][0])
         assert qz == pytest.approx(float(fd), rel=1e-5)
+
+
+@pytest.mark.parametrize("utility", [POWER_HALF, MIXTURE])
+def test_q_gradients_with_a_masked_shared_row_are_exact(utility):
+    b = make_bundle("affine_z_tanh_y", [0.5, 0.25, 0.35], rho1=-0.5, rho2=-0.4)
+    cached = ExpansionBundle(b.model, averaged_sharpe(b.model, z_grid=z_cache_grid(0.0, 1.0)),
+                             utility, 1.0)
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-1.0, 1.0, 64)
+    x = np.exp(rng.normal(0.0, 0.3, 64))
+    alive = rng.random(64) < 0.7
+    row = cached.averages.table(z)[:, alive]
+    shared = cached.q_gradients(0.3, x[alive], z[alive], row=row)
+    own = cached.q_gradients(0.3, x[alive], z[alive])
+    assert all(np.array_equal(s, o) for s, o in zip(shared, own))
 
 
 def test_mixture_bundle_leading_order_matches_direct_solve():

@@ -11,6 +11,7 @@ from multiscale_portfolio.experiments import (
     DEFAULT_CONFIG_TEXT,
     _gap_trend_ok,
     build_bundle,
+    build_challengers,
     build_model,
     fit_loglog_slope,
     invariant_suite,
@@ -19,8 +20,11 @@ from multiscale_portfolio.experiments import (
     parse_config_text,
     residual_order_study,
     run_cli,
+    sim_config_for,
     write_residual_csv,
 )
+from multiscale_portfolio.factors import TABLE_COLUMNS
+from multiscale_portfolio.simulate import run_ensembles
 
 SMALL_OVERRIDES = dict(n_paths=4000, chunk_size=1000)
 
@@ -238,6 +242,17 @@ def test_cli_malformed_config(tmp_path):
     assert run_cli(["invariants", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("divisor", [0, 10])
+def test_cli_rejects_step_divisor_below_step_rule(tmp_path, capsys, divisor):
+    coarse = tmp_path / "coarse.cfg"
+    coarse.write_text(
+        DEFAULT_CONFIG_TEXT.replace("step_divisor = 20", f"step_divisor = {divisor}")
+    )
+    code = run_cli(["residual-study", "--config", str(coarse), "--out", str(tmp_path)])
+    assert code == 2
+    assert "config error: sim.step_divisor must be at least 20" in capsys.readouterr().out
+
+
 def test_cli_expand_and_solve_merton(tmp_path):
     assert run_cli(["expand", "--config", "default", "--out", str(tmp_path)]) == 0
     assert run_cli(["solve-merton", "--config", "default", "--out", str(tmp_path)]) == 0
@@ -281,3 +296,30 @@ def test_bundle_caching_window_covers_slow_range(default_cfg):
     grid = bundle.averages.z_grid
     spread = 6.0 * 0.75 * np.sqrt(0.4)
     assert grid[0] < -spread and grid[-1] > spread
+
+
+def test_factor_lookup_off_the_cached_grid_is_an_error(default_cfg):
+    averages = build_bundle(default_cfg, build_model(default_cfg, 0.4, 0.4)).averages
+    lo, hi = averages.z_grid[0], averages.z_grid[-1]
+    assert np.all(np.isfinite(averages.table(np.array([lo, hi]))))
+    for lookup in [averages.table] + [getattr(averages, name) for name in TABLE_COLUMNS]:
+        with pytest.raises(ValueError) as err:
+            lookup(np.array([0.0, 20.0]))
+        assert f"z in [0, 20] falls outside the cached z-grid [{lo:.6g}, {hi:.6g}]" in str(err.value)
+
+
+def test_shared_factor_table_keeps_strategies_and_workers_apart(default_cfg):
+    cfg = replace(default_cfg, n_paths=2000, chunk_size=500)
+    model = build_model(cfg, 0.4, 0.4)
+    bundle = build_bundle(cfg, model)
+    roster = build_challengers(cfg, model, bundle)
+    runs = [
+        run_ensembles(model, roster, bundle, sim_config_for(replace(cfg, workers=w), model))
+        for w in (1, 2)
+    ]
+    single = run_ensembles(model, roster[:1], bundle, sim_config_for(cfg, model))[0]
+    fields = ("x_terminal", "utility_terminal", "control_variate", "floor_hit")
+    for one, two in zip(*runs):
+        assert all(getattr(one, f).tobytes() == getattr(two, f).tobytes() for f in fields)
+    assert all(getattr(runs[0][0], f).tobytes() == getattr(single, f).tobytes() for f in fields)
+    assert np.any(single.control_variate != 0.0)

@@ -10,6 +10,7 @@ from multiscale_portfolio.factors import (
     OrnsteinUhlenbeckFactor,
     SHARPE_REGISTRY,
     SIGMA_REGISTRY,
+    TABLE_COLUMNS,
     averaged_sharpe,
     fast_coupling,
     invariant_average,
@@ -197,6 +198,31 @@ def test_cached_grid_matches_exact():
         assert float(cached.sharpe_rms_slope(z)) == pytest.approx(
             exact.sharpe_rms_slope(z), rel=1e-6
         )
+
+
+def test_table_matches_exact_off_nodes():
+    model = make_model("affine_z_tanh_y", [0.5, 0.25, 0.35], nu=0.7)
+    exact = averaged_sharpe(model)
+    cached = averaged_sharpe(model, z_grid=z_cache_grid(0.0, 1.5))
+    grid = cached.z_grid
+    mid = 0.5 * (grid[:-1] + grid[1:])
+    zs = mid[np.abs(mid) <= 1.2][::20]  # off-node points inside the visited range
+    tab = cached.table(zs)
+    assert tab.shape == (len(TABLE_COLUMNS), zs.size)
+    for name, row, rel in zip(TABLE_COLUMNS, tab, (1e-9, 1e-9, 1e-6, 1e-7)):
+        for z, got in zip(zs, row):
+            assert got == pytest.approx(getattr(exact, name)(z), rel=rel)
+        assert np.array_equal(getattr(cached, name)(zs), row)
+    # slope columns: central differences of the table's own value columns
+    h = 1e-5
+    fd = (cached.table(zs + h, slopes=False) - cached.table(zs - h, slopes=False)) / (2 * h)
+    np.testing.assert_allclose(tab[4:], fd[1:], rtol=1e-6, atol=1e-9)
+
+
+def test_cached_grid_must_be_uniform():
+    model = make_model("affine_z_tanh_y", [0.5, 0.25, 0.35], nu=0.7)
+    with pytest.raises(ValueError, match="uniform"):
+        averaged_sharpe(model, z_grid=np.linspace(-1.0, 1.0, 9) ** 3)
 
 
 def test_source_centering_enforced():

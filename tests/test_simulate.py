@@ -23,6 +23,7 @@ from multiscale_portfolio.simulate import (
     bump_drag_diagnostic,
     default_fast_bump,
     default_slow_bump,
+    dt_for,
     estimate_value,
     mismatch_drag_diagnostic,
     run_ensembles,
@@ -143,6 +144,11 @@ def test_step_rule_enforced():
     bad = cfg_for(model, dt=0.02)  # needs <= 0.1/20 = 0.005
     with pytest.raises(ValueError):
         estimate_value(model, AllCash(), b, bad)
+
+
+def test_step_divisor_must_be_positive():
+    with pytest.raises(ValueError, match="positive"):
+        dt_for(constant_model(), 0)
 
 
 def test_antithetic_validation():
