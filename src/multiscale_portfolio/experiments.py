@@ -44,6 +44,7 @@ from .factors import (
     averaged_sharpe,
     fast_coupling,
     solve_poisson,
+    slow_factor_range,
     z_cache_grid,
 )
 from .merton import apply_dk, solve_merton
@@ -324,6 +325,12 @@ strict = false
 """
 
 
+# (section, key) -> RunConfig field, where the two names differ
+_FIELD_NAMES = {("scenario", "name"): "scenario", ("utility", "kind"): "utility_kind",
+                ("merton", "sharpe"): "merton_sharpe",
+                **{("model", k): k + "_name" for k in ("sharpe", "sigma", "slow_drift", "slow_vol")}}
+
+
 def load_run_config(source: str | Path) -> RunConfig:
     """Load a config file; the literal name ``default`` loads the built-in."""
     if str(source) == "default":
@@ -345,48 +352,9 @@ def load_run_config(source: str | Path) -> RunConfig:
     for eps, delta in zip(epsilons, deltas):
         if eps <= 0.0 or delta <= 0.0:
             raise ConfigError("grid entries must be strictly positive")
-    cfg = RunConfig(
-        scenario=values["scenario"]["name"],
-        utility_kind=values["utility"]["kind"],
-        gamma=values["utility"]["gamma"],
-        weights=values["utility"]["weights"],
-        exponents=values["utility"]["exponents"],
-        fast_mean=values["model"]["fast_mean"],
-        fast_vol=values["model"]["fast_vol"],
-        sharpe_name=values["model"]["sharpe"],
-        sharpe_params=values["model"]["sharpe_params"],
-        sigma_name=values["model"]["sigma"],
-        sigma_params=values["model"]["sigma_params"],
-        slow_drift_name=values["model"]["slow_drift"],
-        slow_drift_params=values["model"]["slow_drift_params"],
-        slow_vol_name=values["model"]["slow_vol"],
-        slow_vol_params=values["model"]["slow_vol_params"],
-        rho1=values["model"]["rho1"],
-        rho2=values["model"]["rho2"],
-        rho12=values["model"]["rho12"],
-        epsilons=epsilons,
-        deltas=deltas,
-        n_paths=values["sim"]["n_paths"],
-        step_divisor=values["sim"]["step_divisor"],
-        horizon=values["sim"]["horizon"],
-        x0=values["sim"]["x0"],
-        y0=values["sim"]["y0"],
-        z0=values["sim"]["z0"],
-        s0=values["sim"]["s0"],
-        seed=values["sim"]["seed"],
-        antithetic=values["sim"]["antithetic"],
-        control_variate=values["sim"]["control_variate"],
-        chunk_size=values["sim"]["chunk_size"],
-        workers=values["sim"]["workers"],
-        alpha=values["strategies"]["alpha"],
-        beta=values["strategies"]["beta"],
-        bump_scale=values["strategies"]["bump_scale"],
-        scale_factor=values["strategies"]["scale_factor"],
-        merton_sharpe=values["merton"]["sharpe"],
-        output_dir=values["report"]["output_dir"],
-        slope_band=tuple(values["report"]["slope_band"]),
-        strict=values["report"]["strict"],
-    )
+    fields = {_FIELD_NAMES.get((section, key), key): value
+              for section, keys in values.items() for key, value in keys.items()}
+    cfg = RunConfig(**dict(fields, deltas=deltas, slope_band=tuple(fields["slope_band"])))
     if len(cfg.slope_band) != 2 or cfg.slope_band[0] >= cfg.slope_band[1]:
         raise ConfigError("slope_band must be 'lo, hi' with lo < hi")
     if cfg.utility_kind not in ("power", "power_mixture"):
@@ -396,6 +364,13 @@ def load_run_config(source: str | Path) -> RunConfig:
             f"sim.step_divisor must be at least {_STEP_DIVISOR} so that dt resolves "
             f"the fast scale, got {cfg.step_divisor}"
         )
+    try:  # the cached z-grid must cover every z the slow factor can reach
+        slow_factor_range(
+            _registry_get(SLOW_DRIFT_REGISTRY, cfg.slow_drift_name, cfg.slow_drift_params, "slow_drift"),
+            _registry_get(SLOW_VOL_REGISTRY, cfg.slow_vol_name, cfg.slow_vol_params, "slow_vol")[0],
+            cfg.z0, max(cfg.deltas) * cfg.horizon)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 
@@ -440,9 +415,9 @@ def build_bundle(cfg: RunConfig, model: MarketModel, cache: bool = True,
     if averages is None:
         z_grid = None
         if cache:
-            g0 = float(np.asarray(model.slow_vol(cfg.z0)))
-            halfwidth = 6.0 * abs(g0) * math.sqrt(max(cfg.deltas) * cfg.horizon)
-            z_grid = z_cache_grid(cfg.z0, halfwidth)
+            lo, hi = slow_factor_range(model.slow_drift, model.slow_vol, cfg.z0,
+                                       max(cfg.deltas) * cfg.horizon)
+            z_grid = z_cache_grid(0.5 * (lo + hi), 0.5 * (hi - lo))
         averages = averaged_sharpe(model, z_grid=z_grid)
     return ExpansionBundle(model, averages, utility, cfg.horizon)
 

@@ -421,6 +421,33 @@ def z_cache_grid(center: float, halfwidth: float, n_nodes: int = 201,
     return np.linspace(center - hw, center + hw, n_nodes)
 
 
+def slow_factor_range(drift, vol, z0: float, s_max: float) -> tuple[float, float]:
+    """Interval holding Z, dZ = delta c(Z) dt + sqrt(delta) g(Z) dW, while
+    delta t <= s_max: the drift's path dz/ds = c(z), widened by six
+    standard deviations of the noise at the largest |g| on the interval,
+    grown by exp(s_max max(c', 0)).  ValueError when |g| or c' grows too
+    fast in z for such an interval to exist."""
+    h, path = s_max / 512, [float(z0)]
+    for _ in range(512):  # midpoint steps
+        z = path[-1]
+        path.append(z + h * float(drift(z + 0.5 * h * float(drift(z)))))
+    lo, hi = min(path), max(path)
+    width, step = 0.0, math.inf
+    for _ in range(1000):
+        zs = np.linspace(lo - max(width, 1e-3), hi + max(width, 1e-3), 65)
+        growth = max(float(np.max(np.diff(drift(zs)) / np.diff(zs))), 0.0) * s_max
+        if not growth <= 700.0:  # a path off to infinity, or exp would overflow
+            break
+        new = 6.0 * float(np.max(np.abs(vol(zs)))) * math.sqrt(s_max) * math.exp(growth)
+        if abs(new - width) <= 1e-9 * new:
+            return lo - new, hi + new
+        if not new - width < step:  # the widening no longer shrinks: no fixed point
+            break
+        width, step = new, new - width
+    raise ValueError(f"the slow factor's range from z0 = {z0:g} over delta * horizon = "
+                     f"{s_max:g} is unbounded: slow_vol or slow_drift grows too fast in z")
+
+
 # ---------------------------------------------------------------------------
 # coefficient registry (run-configuration surface)
 # ---------------------------------------------------------------------------

@@ -343,15 +343,10 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
             pi = strat.position(t, x, y, z)
             alive = x > 0.0
 
-            if cfg.control_variate and alive.any():
-                if alive.all():
-                    qx, qz = bundle.q_gradients(t, x, z, row=tab)
-                else:
-                    qx = np.zeros(n_chunk)
-                    qz = np.zeros(n_chunk)
-                    qx[alive], qz[alive] = bundle.q_gradients(t, x[alive], z[alive],
-                                                              row=tab[:, alive])
-                res.cv[k] += qx * pi * sig * dw + qz * sqrt_delta * gz * dwz
+            if cfg.control_variate:
+                # paths at the floor get a stand-in wealth of 1 and no CV increment
+                qx, qz = bundle.q_gradients(t, np.where(alive, x, 1.0), z, row=tab)
+                res.cv[k] += np.where(alive, qx * pi * sig * dw + qz * sqrt_delta * gz * dwz, 0.0)
 
             if collect_drag:
                 inc = np.zeros(n_chunk)

@@ -253,6 +253,16 @@ def test_cli_rejects_step_divisor_below_step_rule(tmp_path, capsys, divisor):
     assert "config error: sim.step_divisor must be at least 20" in capsys.readouterr().out
 
 
+def test_cli_rejects_an_unbounded_slow_factor(tmp_path, capsys):
+    steep = tmp_path / "steep.cfg"
+    steep.write_text(DEFAULT_CONFIG_TEXT.replace(
+        "slow_vol = const\nslow_vol_params = 0.75",
+        "slow_vol = affine\nslow_vol_params = 0.75, 1.0"))
+    code = run_cli(["residual-study", "--config", str(steep), "--out", str(tmp_path)])
+    assert code == 2
+    assert "config error: the slow factor's range" in capsys.readouterr().out
+
+
 def test_cli_expand_and_solve_merton(tmp_path):
     assert run_cli(["expand", "--config", "default", "--out", str(tmp_path)]) == 0
     assert run_cli(["solve-merton", "--config", "default", "--out", str(tmp_path)]) == 0
@@ -296,6 +306,19 @@ def test_bundle_caching_window_covers_slow_range(default_cfg):
     grid = bundle.averages.z_grid
     spread = 6.0 * 0.75 * np.sqrt(0.4)
     assert grid[0] < -spread and grid[-1] > spread
+
+
+@pytest.mark.parametrize("slow_vol", [0.05, 0.0])
+def test_cached_grid_covers_a_slow_factor_drifting_away_from_z0(default_cfg, slow_vol):
+    # the drift toward 1 carries z to 1 - exp(-0.4) = 0.33, beyond 6 noise SDs
+    cfg = replace(default_cfg, slow_drift_params=(1.0, 1.0), slow_vol_params=(slow_vol,),
+                  n_paths=400, chunk_size=200)
+    model = build_model(cfg, 0.4, 0.4)
+    bundle = build_bundle(cfg, model)
+    assert bundle.averages.z_grid[-1] > 1.0 - np.exp(-0.4)
+    roster = build_challengers(cfg, model, bundle)
+    for ens in run_ensembles(model, roster, bundle, sim_config_for(cfg, model)):
+        assert np.all(np.isfinite(ens.control_variate))
 
 
 def test_factor_lookup_off_the_cached_grid_is_an_error(default_cfg):

@@ -10,10 +10,13 @@ from multiscale_portfolio.factors import (
     OrnsteinUhlenbeckFactor,
     SHARPE_REGISTRY,
     SIGMA_REGISTRY,
+    SLOW_DRIFT_REGISTRY,
+    SLOW_VOL_REGISTRY,
     TABLE_COLUMNS,
     averaged_sharpe,
     fast_coupling,
     invariant_average,
+    slow_factor_range,
     solve_poisson,
     z_cache_grid,
 )
@@ -223,6 +226,28 @@ def test_cached_grid_must_be_uniform():
     model = make_model("affine_z_tanh_y", [0.5, 0.25, 0.35], nu=0.7)
     with pytest.raises(ValueError, match="uniform"):
         averaged_sharpe(model, z_grid=np.linspace(-1.0, 1.0, 9) ** 3)
+
+
+def test_slow_factor_range_follows_drift_and_noise():
+    s = 0.4
+    target = SLOW_DRIFT_REGISTRY["mean_revert"]([1.0, 1.0])
+    still = SLOW_VOL_REGISTRY["const"]([0.0])[0]
+    lo, hi = slow_factor_range(target, still, 0.0, s)
+    assert lo == 0.0 and hi == pytest.approx(1.0 - math.exp(-s), rel=1e-6)
+    # zero drift, affine g = g0 + g1 z: the width w solves w = 6 sqrt(s) (g0 + g1 w)
+    g0, g1 = 0.5, 0.1
+    affine = SLOW_VOL_REGISTRY["affine"]([g0, g1])[0]
+    lo, hi = slow_factor_range(SLOW_DRIFT_REGISTRY["zero"]([]), affine, 0.0, s)
+    k = 6.0 * math.sqrt(s)
+    assert -lo == hi == pytest.approx(k * g0 / (1.0 - k * g1), rel=1e-8)
+    # a repelling drift grows the noise band by exp(s |k|)
+    repel = SLOW_DRIFT_REGISTRY["mean_revert"]([-0.5, 0.0])
+    flat = SLOW_VOL_REGISTRY["const"]([0.1])[0]
+    lo, hi = slow_factor_range(repel, flat, 0.0, s)
+    assert hi == -lo == pytest.approx(k * 0.1 * math.exp(0.5 * s), rel=1e-12)
+    with pytest.raises(ValueError, match="unbounded"):
+        slow_factor_range(SLOW_DRIFT_REGISTRY["zero"]([]),
+                          SLOW_VOL_REGISTRY["affine"]([0.5, 1.0])[0], 0.0, s)
 
 
 def test_source_centering_enforced():

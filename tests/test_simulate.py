@@ -1,6 +1,8 @@
 """Monte Carlo engine: discretization, determinism, estimators, sign tests."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,6 +170,22 @@ def test_absorption_is_sticky_and_reported():
     hit = ens.floor_hit
     assert np.all(ens.x_terminal[hit] == 0.0)
     assert np.all(ens.utility_terminal[hit] == 0.0)
+
+
+@pytest.mark.parametrize("utility", [
+    POWER_HALF, make_utility("power_mixture", weights=(1.0, 1.0), exponents=(0.5, 0.25)),
+], ids=["power", "mixture"])
+def test_absorbed_paths_stop_feeding_the_control_variate(utility):
+    model = constant_model(eps=0.4, delta=0.4)
+    b = bundle_for(model, utility)
+    cfg = cfg_for(model, n_paths=64, chunk_size=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the CV gradients never see a wealth <= 0
+        ens = simulate_paths(model, Scaled(ZerothOrder(b), 60.0), b, cfg)
+        broke = simulate_paths(model, ZerothOrder(b), b, replace(cfg, x0=0.0))
+    assert np.mean(ens.floor_hit) > 0.5
+    assert np.all(np.isfinite(ens.control_variate)) and np.any(ens.control_variate != 0.0)
+    assert np.all(broke.control_variate == 0.0)
 
 
 def test_correlated_increments_match_target():
