@@ -14,15 +14,14 @@ from .factors import (
     OrnsteinUhlenbeckFactor,
     averaged_sharpe,
     fast_coupling,
+    PoissonSolution,
     invariant_average,
-    solve_poisson,
 )
 from .merton import (
     MertonSolution,
     apply_dk,
     merton_strategy,
     residual_of_pde,
-    risk_tolerance,
     solve_merton,
 )
 from .simulate import (
@@ -37,7 +36,7 @@ from .simulate import (
     mismatch_drag_diagnostic,
     simulate_paths,
 )
-from .utility import UtilitySpec, inverse_marginal, make_utility
+from .utility import UtilitySpec, make_utility
 
 __version__ = "0.1.0"
 
@@ -49,6 +48,7 @@ __all__ = [
     "MertonSolution",
     "OrnsteinUhlenbeckFactor",
     "Perturbed",
+    "PoissonSolution",
     "Scaled",
     "SimConfig",
     "UtilitySpec",
@@ -59,15 +59,12 @@ __all__ = [
     "bump_drag_diagnostic",
     "estimate_value",
     "fast_coupling",
-    "inverse_marginal",
     "invariant_average",
     "make_utility",
     "merton_strategy",
     "mismatch_drag_diagnostic",
     "residual_of_pde",
-    "risk_tolerance",
     "simulate_paths",
     "solve_merton",
-    "solve_poisson",
     "__version__",
 ]

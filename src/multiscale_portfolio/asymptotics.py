@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .factors import FactorAverages, MarketModel
-from .merton import _DualCore, solve_merton
+from .merton import _DualCore, merton_pack, solve_merton
 from .utility import UtilitySpec
 
 __all__ = ["ExpansionBundle"]
@@ -52,37 +52,10 @@ class ExpansionBundle:
     # -- Merton access ---------------------------------------------------------
 
     def _surface(self, t, x, z, order=2, rms=None):
-        """Value/derivative pack at per-point averaged Sharpe ``rms`` (looked up
-        from z when not given); vectorized."""
-        x_arr = np.asarray(x, dtype=float)
+        """Merton pack at the per-point averaged Sharpe ``rms`` (looked up from
+        z when not given); vectorized."""
         lam = np.asarray(self.averages.sharpe_rms(z) if rms is None else rms, dtype=float)
-        tau = self.horizon - t
-        u = self.utility
-        if u.is_power:
-            g = u.gamma
-            growth = np.exp(0.5 * lam**2 * g / (1.0 - g) * tau)
-            pack = {
-                "m": u.u(x_arr) * growth,
-                "m_x": u.du(x_arr, 1) * growth,
-                "m_xx": u.du(x_arr, 2) * growth,
-                "r": x_arr / (1.0 - g),
-                "r_x": np.full(np.shape(x_arr), 1.0 / (1.0 - g)),
-            }
-            if order >= 4:
-                pack["r_xx"] = np.zeros(np.shape(x_arr))
-            return pack
-        if tau <= 0.0:
-            pack = {
-                "m": u.u(x_arr),
-                "m_x": u.du(x_arr, 1),
-                "m_xx": u.du(x_arr, 2),
-                "r": u.risk_tolerance(x_arr),
-                "r_x": u.risk_tolerance_x(x_arr),
-            }
-            if order >= 4:
-                pack["r_xx"] = u.risk_tolerance_xx(x_arr)
-            return pack
-        return self._dual.evaluate(lam, tau, x_arr, order=max(order, 3))
+        return merton_pack(self.utility, lam, self.horizon - t, x, order, self._dual)
 
     # -- expansion terms --------------------------------------------------------
 
@@ -90,16 +63,17 @@ class ExpansionBundle:
         """v(t, x, z) = Merton value at the averaged Sharpe ratio."""
         return self._surface(t, x, z)["m"]
 
-    def value_x(self, t, x, z):
-        return self._surface(t, x, z)["m_x"]
-
     def value_xx(self, t, x, z):
         return self._surface(t, x, z)["m_xx"]
 
     def risk_tolerance(self, t, x, z):
+        """R(t, x; rms(z)); exactly 0 at zero wealth, so every position built
+        on it (pi_zero, the slow bump) is 0 on an absorbed path."""
+        x = np.asarray(x, dtype=float)
         if self.utility.is_power:
-            return np.asarray(x, dtype=float) / (1.0 - self.utility.gamma)
-        return self._surface(t, x, z)["r"]
+            return x / (1.0 - self.utility.gamma)
+        alive = x > 0.0  # the dual solve needs x > 0: stand-in wealth 1 at the floor
+        return np.where(alive, self._surface(t, np.where(alive, x, 1.0), z)["r"], 0.0)
 
     def d1(self, t, x, z, pack=None):
         """D1 v = R M_x."""
@@ -159,20 +133,7 @@ class ExpansionBundle:
 
     def pi_zero(self, t, x, y, z):
         """Zeroth-order position: local Sharpe over vol, averaged risk tolerance."""
-        x_arr = np.asarray(x, dtype=float)
-        out = np.zeros(np.broadcast(x_arr, y, z).shape)
-        pos = x_arr > 0.0
-        if np.ndim(x_arr) == 0:
-            if not pos:
-                return 0.0
-            ratio = self.model.sharpe(y, z) / self.model.sigma(y, z)
-            return float(ratio * self.risk_tolerance(t, x_arr, z))
-        if np.any(pos):
-            y_b, z_b = np.broadcast_arrays(np.asarray(y, dtype=float) * np.ones_like(x_arr),
-                                           np.asarray(z, dtype=float) * np.ones_like(x_arr))
-            ratio = self.model.sharpe(y_b[pos], z_b[pos]) / self.model.sigma(y_b[pos], z_b[pos])
-            out[pos] = ratio * self.risk_tolerance(t, x_arr[pos], z_b[pos])
-        return out
+        return self.model.sharpe(y, z) / self.model.sigma(y, z) * self.risk_tolerance(t, x, z)
 
     def second_order_fast_diag(self, t, x, y, z: float):
         """-(1/2) theta(y, z) D1 v: expansion-quality diagnostic, not part of Q."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +37,13 @@ from .asymptotics import ExpansionBundle
 from .factors import (
     MarketModel,
     OrnsteinUhlenbeckFactor,
+    PoissonSolution,
     SHARPE_REGISTRY,
     SIGMA_REGISTRY,
     SLOW_DRIFT_REGISTRY,
     SLOW_VOL_REGISTRY,
     averaged_sharpe,
     fast_coupling,
-    solve_poisson,
     slow_factor_range,
     z_cache_grid,
 )
@@ -60,7 +60,6 @@ from .simulate import (
     estimate_value,
     mismatch_drag_diagnostic,
     run_ensembles,
-    simulate_paths,
     summarize,
     _pair_statistics,
     _STEP_DIVISOR,
@@ -153,7 +152,6 @@ _SCHEMA = {
         "x0": (float, 1.0),
         "y0": (float, 0.0),
         "z0": (float, 0.0),
-        "s0": (float, 1.0),
         "seed": (int, 0),
         "antithetic": (_parse_bool, True),
         "control_variate": (_parse_bool, True),
@@ -220,52 +218,6 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated scenario configuration for the CLI and the studies."""
-
-    scenario: str
-    utility_kind: str
-    gamma: float
-    weights: tuple
-    exponents: tuple
-    fast_mean: float
-    fast_vol: float
-    sharpe_name: str
-    sharpe_params: tuple
-    sigma_name: str
-    sigma_params: tuple
-    slow_drift_name: str
-    slow_drift_params: tuple
-    slow_vol_name: str
-    slow_vol_params: tuple
-    rho1: float
-    rho2: float
-    rho12: float
-    epsilons: tuple
-    deltas: tuple
-    n_paths: int
-    step_divisor: int
-    horizon: float
-    x0: float
-    y0: float
-    z0: float
-    s0: float
-    seed: int
-    antithetic: bool
-    control_variate: bool
-    chunk_size: int
-    workers: int
-    alpha: float
-    beta: float
-    bump_scale: float
-    scale_factor: float
-    merton_sharpe: float
-    output_dir: str
-    slope_band: tuple
-    strict: bool
-
-
 DEFAULT_CONFIG_TEXT = """\
 # Reference scenario: fast OU factor, Sharpe ratio affine in the slow level
 # with a bounded fast perturbation, power utility.
@@ -302,7 +254,6 @@ horizon = 1.0
 x0 = 1.0
 y0 = 0.0
 z0 = 0.0
-s0 = 1.0
 seed = 20270811
 antithetic = true
 control_variate = true
@@ -329,6 +280,15 @@ strict = false
 _FIELD_NAMES = {("scenario", "name"): "scenario", ("utility", "kind"): "utility_kind",
                 ("merton", "sharpe"): "merton_sharpe",
                 **{("model", k): k + "_name" for k in ("sharpe", "sigma", "slow_drift", "slow_vol")}}
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [_FIELD_NAMES.get((section, key), key) for section, keys in _SCHEMA.items() for key in keys],
+    frozen=True,
+    namespace={"__module__": __name__,
+               "__doc__": "Validated scenario configuration for the CLI and the studies: "
+                          "one field per _SCHEMA key, in schema order."},
+)
 
 
 def load_run_config(source: str | Path) -> RunConfig:
@@ -364,6 +324,7 @@ def load_run_config(source: str | Path) -> RunConfig:
             f"sim.step_divisor must be at least {_STEP_DIVISOR} so that dt resolves "
             f"the fast scale, got {cfg.step_divisor}"
         )
+    _check_sim(cfg)
     try:  # the cached z-grid must cover every z the slow factor can reach
         slow_factor_range(
             _registry_get(SLOW_DRIFT_REGISTRY, cfg.slow_drift_name, cfg.slow_drift_params, "slow_drift"),
@@ -422,15 +383,27 @@ def build_bundle(cfg: RunConfig, model: MarketModel, cache: bool = True,
     return ExpansionBundle(model, averages, utility, cfg.horizon)
 
 
-def sim_config_for(cfg: RunConfig, model: MarketModel, n_paths=None) -> SimConfig:
+def sim_config_for(cfg: RunConfig, model: MarketModel) -> SimConfig:
+    return _sim_config(cfg, dt_for(model, cfg.step_divisor))
+
+
+def _check_sim(cfg: RunConfig) -> None:
+    """ConfigError unless the [sim] settings make a SimConfig, whose checks
+    are the rules (any positive step passes them; the grid sets the real one)."""
+    try:
+        _sim_config(cfg, cfg.horizon)
+    except ValueError as exc:
+        raise ConfigError(f"bad [sim] settings: {exc}") from None
+
+
+def _sim_config(cfg: RunConfig, dt: float) -> SimConfig:
     return SimConfig(
-        n_paths=cfg.n_paths if n_paths is None else n_paths,
+        n_paths=cfg.n_paths,
         horizon=cfg.horizon,
-        dt=dt_for(model, cfg.step_divisor),
+        dt=dt,
         x0=cfg.x0,
         y0=cfg.y0,
         z0=cfg.z0,
-        s0=cfg.s0,
         seed=cfg.seed,
         antithetic=cfg.antithetic,
         control_variate=cfg.control_variate,
@@ -736,7 +709,7 @@ def invariant_suite(cfg: RunConfig) -> list[dict]:
     )
     b_err = abs(fast_coupling(oracle, 0.0) + math.sqrt(2.0) * 0.5**3) / (math.sqrt(2.0) * 0.5**3)
     rows.append(_row("poisson_coupling_oracle", b_err, 1e-8, b_err <= 1e-8))
-    sol = solve_poisson(oracle, 0.0)
+    sol = PoissonSolution(oracle, 0.0)
     ys = np.linspace(-2.0, 2.0, 21)
     h = 1e-4
     theta_yy = (sol.gradient(ys + h) - sol.gradient(ys - h)) / (2.0 * h)
@@ -913,8 +886,7 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path, terminal_csv: str | None) -> str
     sim_cfg = sim_config_for(cfg, model)
     roster = build_challengers(cfg, model, bundle)
     rows = []
-    for strat in roster:
-        ens = simulate_paths(model, strat, bundle, sim_cfg)
+    for strat, ens in zip(roster, run_ensembles(model, roster, bundle, sim_cfg, collect_drag=True)):
         est = summarize(ens, sim_cfg.chunk_size, cfg.control_variate)
         drag = (bump_drag_diagnostic(ens) if ens.drag_kind == "bump"
                 else mismatch_drag_diagnostic(ens))
@@ -968,13 +940,14 @@ def run_cli(argv: list[str]) -> int:
 
     try:
         cfg = load_run_config(args.config)
+        if args.workers is not None:
+            cfg = replace(cfg, workers=args.workers)
+        if args.paths is not None:
+            cfg = replace(cfg, n_paths=args.paths)
+        _check_sim(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 2
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
-    if args.paths is not None:
-        cfg = replace(cfg, n_paths=args.paths)
     strict = args.strict or cfg.strict
 
     try:

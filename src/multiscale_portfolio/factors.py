@@ -44,7 +44,6 @@ __all__ = [
     "MarketModel",
     "invariant_average",
     "PoissonSolution",
-    "solve_poisson",
     "fast_coupling",
     "FactorAverages",
     "TABLE_COLUMNS",
@@ -139,10 +138,6 @@ class MarketModel:
         sig = self.sigma(y_grid[:, None], z_grid[None, :])
         if not np.all(np.asarray(sig) > 0.0):
             raise ValueError("sigma(y, z) must be strictly positive on the sampled compact")
-
-    def mu(self, y, z):
-        """Asset drift mu = lam * sigma."""
-        return self.sharpe(y, z) * self.sigma(y, z)
 
     def correlation_cholesky(self) -> np.ndarray:
         """Lower-triangular factor of the (W, W^Y, W^Z) correlation matrix."""
@@ -247,15 +242,10 @@ class PoissonSolution:
         return half * (grads @ self._gl_w)
 
 
-def solve_poisson(model: MarketModel, z: float, n_quad: int = 96) -> PoissonSolution:
-    """Corrector for the centered squared-Sharpe source at slow level z."""
-    return PoissonSolution(model, z, n_quad=n_quad)
-
-
 def fast_coupling(model: MarketModel, z: float, n_quad: int = 96,
                   poisson: PoissonSolution | None = None) -> float:
     """Averaged coupling <lam a theta_y> feeding the fast-scale correction."""
-    sol = poisson if poisson is not None else solve_poisson(model, z, n_quad)
+    sol = poisson if poisson is not None else PoissonSolution(model, z, n_quad)
     y, w = model.fast.stationary_nodes(n_quad)
     vals = model.sharpe(y, z) * model.fast.noise(y) * sol.gradient(y)
     return float(w @ np.asarray(vals, dtype=float))
@@ -329,7 +319,7 @@ class FactorAverages:
     def _poisson(self, z: float) -> PoissonSolution:
         key = float(z)
         if key not in self._poisson_cache:
-            self._poisson_cache[key] = solve_poisson(self.model, key, self.n_quad)
+            self._poisson_cache[key] = PoissonSolution(self.model, key, self.n_quad)
         return self._poisson_cache[key]
 
     @staticmethod

@@ -44,7 +44,7 @@ from .utility import UtilitySpec
 __all__ = [
     "MertonSolution",
     "solve_merton",
-    "risk_tolerance",
+    "merton_pack",
     "apply_dk",
     "merton_strategy",
     "residual_of_pde",
@@ -248,6 +248,43 @@ def _solve_finite_difference(
 # ---------------------------------------------------------------------------
 
 
+def merton_pack(utility: UtilitySpec, lam, tau: float, x, order: int = 2,
+                dual: _DualCore | None = None) -> dict:
+    """Value, x-derivatives and risk tolerance at time to horizon tau and
+    Sharpe ratio lam (a scalar, or one per point of x).
+
+    The pack holds m, m_x, m_xx and r; order >= 3 adds r_x and m_x3, order
+    >= 4 adds r_xx and m_x4.  It is U itself at tau = 0, the dual quadrature
+    of ``dual`` when one is given, and the power closed form otherwise.
+    """
+    u = utility
+    x = np.asarray(x, dtype=float)
+    if tau > 0.0 and dual is not None:
+        return dual.evaluate(lam, tau, x, order=max(order, 2))
+    if tau > 0.0:  # M = U exp(lam^2 g tau / (2(1-g))), R = x/(1-g)
+        g = u.gamma
+        growth = np.exp(0.5 * lam**2 * g / (1.0 - g) * tau)
+
+        def r(x):
+            return x / (1.0 - g)
+
+        def r_x(x):
+            return np.full(x.shape, 1.0 / (1.0 - g))
+
+        def r_xx(x):
+            return np.zeros(x.shape)
+    else:
+        growth = 1.0
+        r, r_x, r_xx = u.risk_tolerance, u.risk_tolerance_x, u.risk_tolerance_xx
+    out = {"m": u.u(x) * growth, "m_x": u.du(x, 1) * growth,
+           "m_xx": u.du(x, 2) * growth, "r": r(x)}
+    if order >= 3:
+        out["r_x"], out["m_x3"] = r_x(x), u.du(x, 3) * growth
+    if order >= 4:
+        out["r_xx"], out["m_x4"] = r_xx(x), u.du(x, 4) * growth
+    return out
+
+
 class MertonSolution:
     """Evaluable Merton value surface for one utility and Sharpe ratio.
 
@@ -289,40 +326,6 @@ class MertonSolution:
             raise ValueError(f"t={t} lies beyond the horizon {self.horizon}")
         return max(tau, 0.0)
 
-    def _terminal_pack(self, x, order):
-        u = self.utility
-        out = {
-            "m": u.u(x),
-            "m_x": u.du(x, 1),
-            "m_xx": u.du(x, 2),
-            "r": u.risk_tolerance(x),
-        }
-        if order >= 3:
-            out["r_x"] = u.risk_tolerance_x(x)
-            out["m_x3"] = u.du(x, 3)
-        if order >= 4:
-            out["r_xx"] = u.risk_tolerance_xx(x)
-            out["m_x4"] = u.du(x, 4)
-        return out
-
-    def _closed_form_pack(self, tau, x, order):
-        u = self.utility
-        g = u.gamma
-        growth = np.exp(0.5 * self.sharpe**2 * g / (1.0 - g) * tau)
-        out = {
-            "m": u.u(x) * growth,
-            "m_x": u.du(x, 1) * growth,
-            "m_xx": u.du(x, 2) * growth,
-            "r": np.asarray(x, dtype=float) / (1.0 - g),
-        }
-        if order >= 3:
-            out["r_x"] = np.full(np.shape(x), 1.0 / (1.0 - g))
-            out["m_x3"] = u.du(x, 3) * growth
-        if order >= 4:
-            out["r_xx"] = np.zeros(np.shape(x))
-            out["m_x4"] = u.du(x, 4) * growth
-        return out
-
     def _fd_pack(self, t, x, order):
         if order > 2:
             raise ValueError("finite-difference method exposes derivatives up to order 2")
@@ -350,14 +353,13 @@ class MertonSolution:
         x_arr = np.atleast_1d(x_arr)
         if np.any(x_arr <= 0.0):
             raise ValueError("wealth must be strictly positive")
-        if tau == 0.0 or self.sharpe == 0.0:
-            pack = self._terminal_pack(x_arr, order)
-        elif self.method == "closed_form_power":
-            pack = self._closed_form_pack(tau, x_arr, order)
-        elif self.method == "dual_quadrature":
-            pack = self._dual.evaluate(self.sharpe, tau, x_arr, order=max(order, 2))
-        else:
+        if self.sharpe == 0.0:
+            tau = 0.0  # no excess return: M = U at every t
+        if tau > 0.0 and self.method == "finite_difference":
             pack = self._fd_pack(t, x_arr, order)
+        else:
+            dual = self._dual if self.method == "dual_quadrature" else None
+            pack = merton_pack(self.utility, self.sharpe, tau, x_arr, order, dual)
         if scalar:
             pack = {k: float(np.asarray(v).item()) for k, v in pack.items()}
         return pack
@@ -389,11 +391,6 @@ def solve_merton(utility: UtilitySpec, sharpe: float, horizon: float,
                  method: str = "auto", **options) -> MertonSolution:
     """Solve the constant-Sharpe Merton problem; see :class:`MertonSolution`."""
     return MertonSolution(utility, sharpe, horizon, method=method, **options)
-
-
-def risk_tolerance(solution: MertonSolution, t, x):
-    """R(t, x) = -M_x/M_xx of a solved Merton problem."""
-    return solution.risk_tolerance(t, x)
 
 
 def merton_strategy(solution: MertonSolution, t, x, sigma: float):

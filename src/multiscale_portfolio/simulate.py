@@ -1,4 +1,4 @@
-"""Monte Carlo engine for the coupled (S, Y, Z, X) system under plug-in strategies.
+"""Monte Carlo engine for the coupled (Y, Z, X) system under plug-in strategies.
 
 Discretization per step of size dt:
 
@@ -7,7 +7,6 @@ Discretization per step of size dt:
     Z   Euler-Maruyama
     X   Euler-Maruyama, self-financing exactly: dX = pi (mu dt + sigma dW);
         wealth is floored at zero and absorbed there
-    S   exact lognormal step given (Y, Z) frozen over the interval
 
 Brownian increments are correlated through the lower-triangular Cholesky
 factor of the (W, W^Y, W^Z) correlation matrix.  Paths are partitioned into
@@ -154,13 +153,7 @@ def default_fast_bump(scale: float):
 def default_slow_bump(scale: float, bundle: ExpansionBundle):
     """Bump proportional to the averaged risk tolerance c * R(t, x; rms(z))."""
     def bump(t, x, y, z):
-        x_arr = np.asarray(x, dtype=float)
-        out = np.zeros(np.shape(x_arr))
-        pos = x_arr > 0.0
-        if np.any(pos):
-            z_b = (np.asarray(z, dtype=float) * np.ones_like(x_arr))[pos]
-            out[pos] = scale * bundle.risk_tolerance(t, x_arr[pos], z_b)
-        return out
+        return scale * bundle.risk_tolerance(t, x, z)
     return bump
 
 
@@ -183,7 +176,6 @@ class SimConfig:
     x0: float = 1.0
     y0: float = 0.0
     z0: float = 0.0
-    s0: float = 1.0
     seed: int = 0
     antithetic: bool = True
     control_variate: bool = False
@@ -224,7 +216,6 @@ class PathEnsemble:
     dt: float
     antithetic: bool
     x_terminal: np.ndarray
-    s_terminal: np.ndarray
     utility_terminal: np.ndarray
     control_variate: np.ndarray
     floor_hit: np.ndarray
@@ -284,11 +275,10 @@ def _chunk_bounds(n_paths: int, chunk_size: int):
 
 
 class _ChunkResult:
-    __slots__ = ("x", "s", "u", "cv", "hit", "drag_max", "drag_active", "bump_sums")
+    __slots__ = ("x", "u", "cv", "hit", "drag_max", "drag_active", "bump_sums")
 
     def __init__(self, n_strat, n):
         self.x = [np.empty(n) for _ in range(n_strat)]
-        self.s = np.empty(n)
         self.u = [np.empty(n) for _ in range(n_strat)]
         self.cv = [np.zeros(n) for _ in range(n_strat)]
         self.hit = [np.zeros(n, dtype=bool) for _ in range(n_strat)]
@@ -317,7 +307,6 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
 
     y = np.full(n_chunk, cfg.y0)
     z = np.full(n_chunk, cfg.z0)
-    s = np.full(n_chunk, cfg.s0)
     xs = [np.full(n_chunk, cfg.x0) for _ in range(n_strat)]
 
     for step in range(n_steps):
@@ -342,14 +331,14 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
             x = xs[k]
             pi = strat.position(t, x, y, z)
             alive = x > 0.0
+            # paths at the floor get a stand-in wealth of 1 and no CV or drag increment
+            x_live = np.where(alive, x, 1.0)
 
             if cfg.control_variate:
-                # paths at the floor get a stand-in wealth of 1 and no CV increment
-                qx, qz = bundle.q_gradients(t, np.where(alive, x, 1.0), z, row=tab)
+                qx, qz = bundle.q_gradients(t, x_live, z, row=tab)
                 res.cv[k] += np.where(alive, qx * pi * sig * dw + qz * sqrt_delta * gz * dwz, 0.0)
 
             if collect_drag:
-                inc = np.zeros(n_chunk)
                 if isinstance(strat, Perturbed):
                     b10, b01 = strat.bumps(t, x, y, z)
                     weight = (strat.eps_pow * b10 + strat.delta_pow * b01) ** 2
@@ -362,9 +351,10 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
                 else:
                     weight = (pi - bundle.pi_zero(t, x, y, z)) ** 2
                 sel = alive & (weight != 0.0)
+                inc = np.zeros(n_chunk)
                 if np.any(sel):
-                    vxx = bundle.value_xx(t, x[sel], z[sel])
-                    inc[sel] = 0.5 * weight[sel] * sig[sel] ** 2 * vxx * dt
+                    vxx = bundle.value_xx(t, x_live, z)
+                    inc = np.where(sel, 0.5 * weight * sig**2 * vxx * dt, 0.0)
                 np.maximum(res.drag_max[k], inc, out=res.drag_max[k])
                 res.drag_active[k] |= inc != 0.0
 
@@ -372,11 +362,9 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
             res.hit[k] |= alive & (x_new <= 0.0)
             xs[k] = x_new
 
-        s = s * np.exp((mu - 0.5 * sig**2) * dt + sig * dw)
         z = z + model.delta * model.slow_drift(z) * dt + sqrt_delta * gz * dwz
         y = ou_mean + (y - ou_mean) * ou_decay + ou_std * wy_std
 
-    res.s[:] = s
     for k in range(n_strat):
         res.x[k][:] = xs[k]
         res.u[k][:] = bundle.utility.u(np.maximum(xs[k], 0.0))
@@ -388,9 +376,8 @@ def run_ensembles(model: MarketModel, strategies: list[Strategy],
                   collect_drag: bool = False) -> list[PathEnsemble]:
     """Simulate several strategies on shared noise (common random numbers).
 
-    Strategy slot 0 is the reference used by the mismatch drag; results come
-    back in roster order.  Identical (model, cfg, strategies) produce
-    bit-identical ensembles for any worker count.
+    Results come back in roster order.  Identical (model, cfg, strategies)
+    produce bit-identical ensembles for any worker count.
     """
     _validate_step(model, cfg)
     n_strat = len(strategies)
@@ -434,7 +421,6 @@ def run_ensembles(model: MarketModel, strategies: list[Strategy],
             dt=dt,
             antithetic=cfg.antithetic,
             x_terminal=x_t,
-            s_terminal=np.concatenate([r.s for r in results]),
             utility_terminal=u_t,
             control_variate=cv,
             floor_hit=hit,
@@ -460,12 +446,7 @@ def run_ensembles(model: MarketModel, strategies: list[Strategy],
 def simulate_paths(model: MarketModel, strategy: Strategy, bundle: ExpansionBundle,
                    cfg: SimConfig, collect_drag: bool = True) -> PathEnsemble:
     """Simulate one strategy; drag diagnostics are streamed by default."""
-    strategies = [strategy]
-    if collect_drag and not isinstance(strategy, Perturbed):
-        # mismatch drag references the zeroth-order strategy in slot 0
-        strategies = [ZerothOrder(bundle), strategy]
-        return run_ensembles(model, strategies, bundle, cfg, collect_drag=True)[1]
-    return run_ensembles(model, strategies, bundle, cfg, collect_drag=collect_drag)[0]
+    return run_ensembles(model, [strategy], bundle, cfg, collect_drag=collect_drag)[0]
 
 
 def _pair_statistics(values: np.ndarray, antithetic: bool, chunk_size: int):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["UtilitySpec", "make_utility", "inverse_marginal"]
+__all__ = ["UtilitySpec", "make_utility"]
 
 _NEWTON_MAX_ITER = 100
 _NEWTON_REL_TOL = 1e-14  # on log marginal utility; well below the 1e-12 contract
@@ -174,8 +174,3 @@ def make_utility(kind: str, *, gamma=None, weights=None, exponents=None) -> Util
         if not 0.0 < g < 1.0:
             raise ValueError(f"exponents must lie in (0, 1), got {g}")
     return UtilitySpec(weights=weights, exponents=exponents)
-
-
-def inverse_marginal(utility: UtilitySpec, y):
-    """Module-level alias for :meth:`UtilitySpec.inverse_marginal`."""
-    return utility.inverse_marginal(y)

@@ -1,6 +1,7 @@
 """Expansion terms: leading order, corrections, strategy, diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,27 @@ def test_pi_zero_power_constant_coefficients():
     # lam = sigma = 1: pi = R = 2x for gamma = 1/2
     assert b.pi_zero(0.3, 1.5, 0.2, 0.0) == pytest.approx(3.0, rel=1e-12)
     assert b.pi_zero(0.3, 0.0, 0.2, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("utility", [POWER_HALF, MIXTURE], ids=["power", "mixture"])
+def test_zero_wealth_takes_no_position(utility):
+    from multiscale_portfolio.simulate import default_slow_bump
+
+    b = make_bundle("affine_z_tanh_y", [0.5, 0.25, 0.35], utility=utility)
+    bump = default_slow_bump(0.1, b)
+    x = np.array([0.0, 0.5, 0.0, 2.0, 1.0])
+    y = np.array([0.3, -0.2, 1.0, 0.1, -1.5])
+    z = np.array([0.1, -0.2, 0.0, 0.3, 0.2])
+    for f in (lambda x, y, z: b.pi_zero(0.3, x, y, z),
+              lambda x, y, z: b.risk_tolerance(0.3, x, z),
+              lambda x, y, z: bump(0.3, x, y, z)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # zero wealth never reaches the solver
+            vec = f(x, y, z)
+            assert vec.shape == x.shape
+            for i in range(x.size):  # a mixture's Newton stop is shared across points
+                one = 0.0 if x[i] == 0.0 else pytest.approx(f(x[i], y[i], z[i]), rel=1e-13)
+                assert vec[i] == one
 
 
 def test_pi_zero_uses_local_sharpe():

@@ -253,6 +253,25 @@ def test_cli_rejects_step_divisor_below_step_rule(tmp_path, capsys, divisor):
     assert "config error: sim.step_divisor must be at least 20" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("setting, flags", [
+    ("workers = 0", []), ("chunk_size = 16383", []), ("n_paths = 7", []),
+    ("n_paths = 0", []), ("horizon = 0.0", []), ("x0 = -1.0", []),
+    (None, ["--workers", "0"]), (None, ["--paths", "3"]),
+], ids=["workers", "chunk_size", "odd_paths", "no_paths", "horizon", "x0",
+        "cli_workers", "cli_paths"])
+def test_cli_rejects_bad_sim_settings(tmp_path, capsys, setting, flags):
+    text = DEFAULT_CONFIG_TEXT
+    if setting is not None:
+        key = setting.split(" = ")[0]
+        line = next(ln for ln in text.splitlines() if ln.startswith(key + " = "))
+        text = text.replace(line, setting)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    code = run_cli(["residual-study", "--config", str(bad), "--out", str(tmp_path)] + flags)
+    assert code == 2
+    assert "config error: bad [sim] settings" in capsys.readouterr().out
+
+
 def test_cli_rejects_an_unbounded_slow_factor(tmp_path, capsys):
     steep = tmp_path / "steep.cfg"
     steep.write_text(DEFAULT_CONFIG_TEXT.replace(

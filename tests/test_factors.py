@@ -8,6 +8,7 @@ import pytest
 from multiscale_portfolio.factors import (
     MarketModel,
     OrnsteinUhlenbeckFactor,
+    PoissonSolution,
     SHARPE_REGISTRY,
     SIGMA_REGISTRY,
     SLOW_DRIFT_REGISTRY,
@@ -17,7 +18,6 @@ from multiscale_portfolio.factors import (
     fast_coupling,
     invariant_average,
     slow_factor_range,
-    solve_poisson,
     z_cache_grid,
 )
 
@@ -97,7 +97,7 @@ def test_corrector_quadratic_oracle():
     # lam = y on OU(0, nu): theta = (nu^2 - y^2)/2, theta_y = -y
     for nu in (0.3, 0.5, 1.0):
         model = make_model("prop_y", [1.0], nu=nu)
-        sol = solve_poisson(model, 0.0)
+        sol = PoissonSolution(model, 0.0)
         ys = np.linspace(-2.0, 2.0, 17)
         assert np.max(np.abs(sol.value(ys) - (nu**2 - ys**2) / 2.0)) <= 1e-10
         assert sol.gradient(1.0) == pytest.approx(-1.0, abs=1e-10)
@@ -105,7 +105,7 @@ def test_corrector_quadratic_oracle():
 
 def test_corrector_generator_identity():
     model = make_model("prop_y", [1.0], nu=0.5)
-    sol = solve_poisson(model, 0.0)
+    sol = PoissonSolution(model, 0.0)
     ys = np.linspace(-2.5, 2.5, 31)
     h = 1e-4
     theta_yy = (sol.gradient(ys + h) - sol.gradient(ys - h)) / (2.0 * h)
@@ -116,7 +116,7 @@ def test_corrector_generator_identity():
 
 def test_corrector_zero_for_y_independent_sharpe():
     model = make_model("affine_z", [0.5, 0.2])
-    sol = solve_poisson(model, 0.3)
+    sol = PoissonSolution(model, 0.3)
     ys = np.linspace(-3.0, 3.0, 11)
     assert np.max(np.abs(sol.value(ys))) <= 1e-12
     assert np.max(np.abs(sol.gradient(ys))) <= 1e-12
@@ -125,7 +125,7 @@ def test_corrector_zero_for_y_independent_sharpe():
 
 def test_corrector_flux_vanishes_in_tails():
     model = make_model("prop_y", [1.0], nu=0.5)
-    sol = solve_poisson(model, 0.0)
+    sol = PoissonSolution(model, 0.0)
     # the integrated flux must decay at the quadrature boundary (centering)
     for edge in (-12.0, 12.0):
         assert abs(float(sol._flux(edge)[0])) <= 1e-12
@@ -133,7 +133,7 @@ def test_corrector_flux_vanishes_in_tails():
 
 def test_corrector_zero_average():
     model = make_model("affine_z_tanh_y", [0.5, 0.25, 0.35], nu=0.7)
-    sol = solve_poisson(model, 0.1)
+    sol = PoissonSolution(model, 0.1)
     avg = invariant_average(model, lambda y, z: sol.value(y), 0.1)
     assert abs(avg) <= 1e-10
 
@@ -252,6 +252,6 @@ def test_slow_factor_range_follows_drift_and_noise():
 
 def test_source_centering_enforced():
     model = make_model("affine_z_tanh_y", [0.5, 0.25, 0.35], nu=0.7)
-    sol = solve_poisson(model, 0.0)
+    sol = PoissonSolution(model, 0.0)
     centered = invariant_average(model, sol._source, 0.0)
     assert abs(centered) <= 1e-10 * (1.0 + sol.mean_square)

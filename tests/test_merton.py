@@ -7,7 +7,6 @@ from multiscale_portfolio.merton import (
     apply_dk,
     merton_strategy,
     residual_of_pde,
-    risk_tolerance,
     solve_merton,
 )
 from multiscale_portfolio.utility import make_utility
@@ -42,7 +41,7 @@ def test_terminal_condition_exact():
 def test_risk_tolerance_power_constant_in_time():
     sol = solve_merton(POWER_HALF, 0.8, 1.0)
     for t in (0.0, 0.4, 1.0):
-        assert risk_tolerance(sol, t, 3.0) == pytest.approx(6.0, rel=1e-12)
+        assert sol.risk_tolerance(t, 3.0) == pytest.approx(6.0, rel=1e-12)
 
 
 def test_risk_tolerance_terminal_matches_utility():

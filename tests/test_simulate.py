@@ -209,12 +209,23 @@ def test_uncorrelated_model_produces_uncorrelated_increments():
 
 
 def test_fast_factor_matches_stationary_distribution():
-    # exact OU stepping keeps Y at its stationary law
+    # exact OU stepping keeps Y at its stationary law N(mean, vol^2); started
+    # at the mean, Y is stationary to 1e-9 in variance by t = 1 - dt
+    class LastY(AllCash):
+        def position(self, t, x, y, z):
+            self.y = np.array(y)
+            return super().position(t, x, y, z)
+
     model = constant_model()
-    b = bundle_for(model)
-    cfg = cfg_for(model, n_paths=16384, control_variate=False)
-    ens = run_ensembles(model, [AllCash()], b, cfg)[0]
-    assert ens.s_terminal.shape == (16384,)
+    strat = LastY()
+    n = 16384  # one chunk, so the last call sees every path
+    run_ensembles(model, [strat], bundle_for(model),
+                  cfg_for(model, n_paths=n, chunk_size=n, antithetic=False,
+                          control_variate=False))
+    mean, vol = model.fast.mean, model.fast.vol
+    assert strat.y.shape == (n,)
+    assert abs(np.mean(strat.y) - mean) <= 4.0 * vol / math.sqrt(n)
+    assert abs(np.std(strat.y, ddof=1) - vol) <= 4.0 * vol / math.sqrt(2.0 * (n - 1))
 
 
 def perturbed_for(model, b, scale=0.15):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from multiscale_portfolio.utility import inverse_marginal, make_utility
+from multiscale_portfolio.utility import make_utility
 
 
 @pytest.fixture
@@ -128,8 +128,4 @@ def test_inverse_marginal_rejects_nonpositive(power):
     with pytest.raises(ValueError):
         power.inverse_marginal(0.0)
     with pytest.raises(ValueError):
-        inverse_marginal(power, -1.0)
-
-
-def test_module_level_alias(power):
-    assert inverse_marginal(power, 0.5) == power.inverse_marginal(0.5)
+        power.inverse_marginal(-1.0)
