@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .factors import FactorAverages, MarketModel
+from .factors import FactorAverages, MarketModel, PoissonSolution
 from .merton import _DualCore, merton_pack, solve_merton
 from .utility import UtilitySpec
 
@@ -137,7 +137,7 @@ class ExpansionBundle:
 
     def second_order_fast_diag(self, t, x, y, z: float):
         """-(1/2) theta(y, z) D1 v: expansion-quality diagnostic, not part of Q."""
-        theta = self.averages.corrector(y, z)
+        theta = PoissonSolution(self.model, z).value(y)
         return -0.5 * np.asarray(theta) * self.d1(t, x, z)
 
     def vega_gamma_check(self, t, x, z: float, h_z: float | None = None) -> float:
@@ -163,7 +163,7 @@ class ExpansionBundle:
 
     # -- gradients for the martingale control variate ---------------------------
 
-    def q_gradients(self, t, x, z, eps=None, delta=None, row=None):
+    def q_gradients(self, t, x, z, row=None):
         """(d/dx Q, d/dz Q) sharing one derivative pack; feeds the control variate.
 
         ``row`` is ``averages.table(z)`` when the caller already holds it (the
@@ -177,10 +177,8 @@ class ExpansionBundle:
         increments inside the control variate, so truncations here affect
         variance, never the estimator's validity.
         """
-        eps = self.model.epsilon if eps is None else eps
-        delta = self.model.delta if delta is None else delta
         tau = self.horizon - t
-        sqrt_eps, sqrt_delta = np.sqrt(eps), np.sqrt(delta)
+        sqrt_eps, sqrt_delta = np.sqrt(self.model.epsilon), np.sqrt(self.model.delta)
         if row is None:
             row = self.averages.table(z)
         rms, rms_p = row[0], row[2]

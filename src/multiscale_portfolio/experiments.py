@@ -106,6 +106,10 @@ def _parse_float_list(raw):
     return tuple(float(tok) for tok in raw.split(","))
 
 
+def _parse_deltas(raw):
+    return "match" if raw.strip() == "match" else _parse_float_list(raw)
+
+
 def _parse_bool(raw):
     lowered = raw.strip().lower()
     if lowered in ("true", "yes", "on", "1"):
@@ -143,7 +147,7 @@ _SCHEMA = {
     },
     "grid": {
         "epsilons": (_parse_float_list, _REQUIRED),
-        "deltas": (str.strip, "match"),
+        "deltas": (_parse_deltas, "match"),
     },
     "sim": {
         "n_paths": (int, _REQUIRED),
@@ -303,12 +307,9 @@ def load_run_config(source: str | Path) -> RunConfig:
     values = parse_config_text(text)
     grid = values["grid"]
     epsilons = grid["epsilons"]
-    if grid["deltas"] == "match":
-        deltas = epsilons
-    else:
-        deltas = _parse_float_list(grid["deltas"])
-        if len(deltas) != len(epsilons):
-            raise ConfigError("deltas must be 'match' or a list as long as epsilons")
+    deltas = epsilons if grid["deltas"] == "match" else grid["deltas"]
+    if len(deltas) != len(epsilons):
+        raise ConfigError("deltas must be 'match' or a list as long as epsilons")
     for eps, delta in zip(epsilons, deltas):
         if eps <= 0.0 or delta <= 0.0:
             raise ConfigError("grid entries must be strictly positive")
@@ -325,11 +326,11 @@ def load_run_config(source: str | Path) -> RunConfig:
             f"the fast scale, got {cfg.step_divisor}"
         )
     _check_sim(cfg)
-    try:  # the cached z-grid must cover every z the slow factor can reach
-        slow_factor_range(
-            _registry_get(SLOW_DRIFT_REGISTRY, cfg.slow_drift_name, cfg.slow_drift_params, "slow_drift"),
-            _registry_get(SLOW_VOL_REGISTRY, cfg.slow_vol_name, cfg.slow_vol_params, "slow_vol")[0],
-            cfg.z0, max(cfg.deltas) * cfg.horizon)
+    try:  # the constructors' checks, and a z-grid covering every z the slow factor reaches
+        build_utility(cfg)
+        for eps, delta in zip(cfg.epsilons, cfg.deltas):
+            model = build_model(cfg, eps, delta)
+        slow_factor_range(model.slow_drift, model.slow_vol, cfg.z0, max(cfg.deltas) * cfg.horizon)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return cfg
@@ -370,17 +371,13 @@ def build_model(cfg: RunConfig, epsilon: float, delta: float) -> MarketModel:
     )
 
 
-def build_bundle(cfg: RunConfig, model: MarketModel, cache: bool = True,
-                 averages=None) -> ExpansionBundle:
-    utility = build_utility(cfg)
+def build_bundle(cfg: RunConfig, model: MarketModel, averages=None) -> ExpansionBundle:
+    """Expansion bundle whose factor table covers every z the slow factor reaches."""
     if averages is None:
-        z_grid = None
-        if cache:
-            lo, hi = slow_factor_range(model.slow_drift, model.slow_vol, cfg.z0,
-                                       max(cfg.deltas) * cfg.horizon)
-            z_grid = z_cache_grid(0.5 * (lo + hi), 0.5 * (hi - lo))
-        averages = averaged_sharpe(model, z_grid=z_grid)
-    return ExpansionBundle(model, averages, utility, cfg.horizon)
+        lo, hi = slow_factor_range(model.slow_drift, model.slow_vol, cfg.z0,
+                                   max(cfg.deltas) * cfg.horizon)
+        averages = averaged_sharpe(model, z_grid=z_cache_grid(0.5 * (lo + hi), 0.5 * (hi - lo)))
+    return ExpansionBundle(model, averages, build_utility(cfg), cfg.horizon)
 
 
 def sim_config_for(cfg: RunConfig, model: MarketModel) -> SimConfig:
@@ -717,16 +714,13 @@ def invariant_suite(cfg: RunConfig) -> list[dict]:
     resid = np.max(np.abs(lhs - (ys**2 - 0.5**2)) / (1.0 + ys**2))
     rows.append(_row("poisson_generator_identity", resid, 1e-8, resid <= 1e-8))
 
-    model = build_model(cfg, cfg.epsilons[0], cfg.deltas[0])
-    averages = averaged_sharpe(model)
-    zs = np.linspace(cfg.z0 - 1.0, cfg.z0 + 1.0, 9)
-    cs_gap = max(
-        float(averages.sharpe_mean(z) ** 2 - averages.sharpe_rms(z) ** 2) for z in zs
-    )
+    bundle = build_bundle(cfg, build_model(cfg, cfg.epsilons[0], cfg.deltas[0]))
+    averages = bundle.averages
+    zs = np.linspace(averages.z_grid[0], averages.z_grid[-1], 9)
+    cs_gap = float(np.max(averages.sharpe_mean(zs) ** 2 - averages.sharpe_rms(zs) ** 2))
     rows.append(_row("cauchy_schwarz_mean_vs_rms", cs_gap, 0.0, cs_gap <= 0.0))
 
     # expansion invariants
-    bundle = build_bundle(cfg, model, cache=False)
     xs = np.logspace(-1, 1, 11)
     t_end = cfg.horizon
     fast_T = float(np.max(np.abs(bundle.fast_correction(t_end, xs, cfg.z0))))
@@ -860,7 +854,7 @@ def _cmd_solve_merton(cfg: RunConfig, outdir: Path) -> str:
 
 def _cmd_expand(cfg: RunConfig, outdir: Path) -> str:
     model = build_model(cfg, cfg.epsilons[0], cfg.deltas[0])
-    bundle = build_bundle(cfg, model, cache=False)
+    bundle = build_bundle(cfg, model)
     rows = []
     for t in np.linspace(0.0, cfg.horizon, 5):
         for x in np.logspace(-1, 1, 9):

@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache
 from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import roots_legendre
 
-from .merton import gauss_hermite
+from .merton import gauss_hermite, richardson_derivative
 
 __all__ = [
     "OrnsteinUhlenbeckFactor",
@@ -57,6 +57,12 @@ __all__ = [
 _GL_NODES = 200
 _GL_WINDOW = 26.0  # integration window half-width, in units of nu
 _CENTERING_TOL = 1e-10
+
+
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The corrector's Gauss-Legendre rule on [-1, 1], computed once per process."""
+    return roots_legendre(_GL_NODES)
 
 
 @dataclass(frozen=True)
@@ -185,7 +191,7 @@ class PoissonSolution:
             raise RuntimeError(
                 f"corrector source is not centered (residual {centering:.3e})"
             )
-        self._gl_x, self._gl_w = roots_legendre(_GL_NODES)
+        self._gl_x, self._gl_w = _gauss_legendre()
         width = _GL_WINDOW * fast.vol
         self._lo = fast.mean - width
         self._hi = fast.mean + width
@@ -256,17 +262,20 @@ def fast_coupling(model: MarketModel, z: float, n_quad: int = 96,
 # ---------------------------------------------------------------------------
 
 
-def _rms_sharpe_exact(model, z, n_quad):
-    ms = invariant_average(model, lambda y, zz: model.sharpe(y, zz) ** 2, z, n_quad)
+def _rms_sharpe_exact(model, z):
+    ms = invariant_average(model, lambda y, zz: model.sharpe(y, zz) ** 2, z)
     if ms < 0.0:
         raise RuntimeError("quadrature produced a negative mean-square Sharpe ratio")
     return math.sqrt(ms)
 
 
-def _richardson_slope(f, z, h):
-    coarse = (f(z + h) - f(z - h)) / (2.0 * h)
-    fine = (f(z + 0.5 * h) - f(z - 0.5 * h)) / h
-    return (4.0 * fine - coarse) / 3.0
+def _node_values(model: MarketModel, z: float) -> tuple[float, float, float, float]:
+    """The tabulated averages at one node, by quadrature; the rms slope by a
+    Richardson-extrapolated central difference."""
+    def rms(zz):
+        return _rms_sharpe_exact(model, zz)
+    slope = richardson_derivative(rms, z, 1, 1e-4 * max(1.0, abs(z)))
+    return rms(z), invariant_average(model, model.sharpe, z), slope, fast_coupling(model, z)
 
 
 TABLE_COLUMNS = ("sharpe_rms", "sharpe_mean", "sharpe_rms_slope", "coupling",
@@ -275,65 +284,34 @@ _N_VALUES = 4  # the tabulated averages; the last three columns are their z-slop
 
 
 class FactorAverages:
-    """z-indexed averaged quantities (TABLE_COLUMNS), exact or cached on a z-grid.
+    """z-indexed averaged quantities (TABLE_COLUMNS), tabulated on a uniform z-grid.
 
-    With a uniform ``z_grid`` given, the four averages are computed at the
-    grid nodes and stacked into one not-a-knot cubic, so ``table(z)`` costs
-    one interval lookup and one Horner pass for all seven columns
-    (recomputing the quadratures inside a Monte Carlo step loop would dominate
-    the runtime); z off the grid is an error, never an extrapolation.  Without
-    it every column is the full quadrature, slopes by Richardson differences.
+    The four averages are computed by quadrature at the grid nodes and
+    stacked into one not-a-knot cubic, so ``table(z)`` costs one interval
+    lookup and one Horner pass for all seven columns (recomputing the
+    quadratures inside a Monte Carlo step loop would dominate the runtime);
+    z off the grid is an error, never an extrapolation.  The module-level
+    quadrature functions remain the reference the table is checked against.
     """
 
-    def __init__(self, model: MarketModel, z_grid: np.ndarray | None = None,
-                 n_quad: int = 96, slope_step: float = 1e-4):
+    def __init__(self, model: MarketModel, z_grid: np.ndarray):
+        z_grid = np.asarray(z_grid, dtype=float)
+        if z_grid.ndim != 1 or z_grid.size < 8:
+            raise ValueError("z-grid needs at least 8 nodes for cubic interpolation")
+        step = (z_grid[-1] - z_grid[0]) / (z_grid.size - 1)
+        if not (step > 0.0 and np.allclose(np.diff(z_grid), step, rtol=1e-9, atol=0.0)):
+            raise ValueError("z-grid must be uniform and increasing")
         self.model = model
-        self.n_quad = n_quad
-        self.slope_step = slope_step
-        self._poisson_cache: dict[float, PoissonSolution] = {}
-        rms = partial(_rms_sharpe_exact, model, n_quad=n_quad)
-        mean = partial(invariant_average, model, model.sharpe, n_quad=n_quad)
-        coupling = partial(fast_coupling, model, n_quad=n_quad)
-        rms_slope = self._slope(rms)
-        self._exact = (rms, mean, rms_slope, coupling,
-                       self._slope(mean), self._slope(rms_slope, 10.0), self._slope(coupling))
-        self._coef = None
-        if z_grid is not None:
-            z_grid = np.asarray(z_grid, dtype=float)
-            if z_grid.ndim != 1 or z_grid.size < 8:
-                raise ValueError("z-grid needs at least 8 nodes for cubic interpolation")
-            step = (z_grid[-1] - z_grid[0]) / (z_grid.size - 1)
-            if not (step > 0.0 and np.allclose(np.diff(z_grid), step, rtol=1e-9, atol=0.0)):
-                raise ValueError("z-grid must be uniform and increasing")
-            nodes = np.array([[f(z) for f in self._exact[:_N_VALUES]] for z in z_grid])
-            # _coef[column, k, i] multiplies (z - z_i)^(3 - k) on interval i
-            self._coef = np.ascontiguousarray(CubicSpline(z_grid, nodes).c.transpose(2, 0, 1))
-            self._inv_step = 1.0 / step
-            self.z_grid = z_grid
-
-    def _slope(self, f, scale=1.0):
-        def slope(z):
-            return _richardson_slope(f, z, scale * self.slope_step * max(1.0, abs(z)))
-        return slope
-
-    def _poisson(self, z: float) -> PoissonSolution:
-        key = float(z)
-        if key not in self._poisson_cache:
-            self._poisson_cache[key] = PoissonSolution(self.model, key, self.n_quad)
-        return self._poisson_cache[key]
-
-    @staticmethod
-    def _vectorize(fn, z):
-        if np.ndim(z):
-            return np.array([fn(float(zz)) for zz in np.ravel(z)]).reshape(np.shape(z))
-        return fn(float(z))
+        self.z_grid = z_grid
+        nodes = np.array([_node_values(model, z) for z in z_grid])
+        # _coef[column, k, i] multiplies (z - z_i)^(3 - k) on interval i
+        self._coef = np.ascontiguousarray(CubicSpline(z_grid, nodes).c.transpose(2, 0, 1))
+        self._inv_step = 1.0 / step
 
     def table(self, z, slopes: bool = True) -> np.ndarray:
         """TABLE_COLUMNS at z, shape (7,) + shape(z); only the four averages
-        without ``slopes``.  Raises ValueError for z off a cached grid."""
+        without ``slopes``.  Raises ValueError for z off the grid."""
         n_cols = len(TABLE_COLUMNS) if slopes else _N_VALUES
-        if self._coef is None:
-            return np.stack([self._vectorize(f, z) for f in self._exact[:n_cols]])
         z = np.asarray(z, dtype=float)
         flat = z.reshape(-1)
         lo, hi = self.z_grid[0], self.z_grid[-1]
@@ -355,8 +333,6 @@ class FactorAverages:
         return out.reshape((n_cols,) + z.shape)
 
     def _column(self, j, z):
-        if self._coef is None:
-            return self._vectorize(self._exact[j], z)
         return self.table(z, slopes=j >= _N_VALUES)[j]
 
     # -- public surface -------------------------------------------------------
@@ -370,7 +346,7 @@ class FactorAverages:
         return self._column(1, z)
 
     def sharpe_rms_slope(self, z):
-        """d/dz of sharpe_rms, by Richardson-extrapolated central differences."""
+        """d/dz of sharpe_rms, tabulated from Richardson-extrapolated differences."""
         return self._column(2, z)
 
     def coupling(self, z):
@@ -389,26 +365,17 @@ class FactorAverages:
         """d/dz of coupling."""
         return self._column(6, z)
 
-    def corrector(self, y, z: float):
-        """theta(y, z), zero-average in y."""
-        return self._poisson(z).value(y)
 
-    def corrector_gradient(self, y, z: float):
-        """theta_y(y, z)."""
-        return self._poisson(z).gradient(y)
+def averaged_sharpe(model: MarketModel, z_grid: np.ndarray) -> FactorAverages:
+    """Averaged-quantity table for a model on a uniform z-grid."""
+    return FactorAverages(model, z_grid)
 
 
-def averaged_sharpe(model: MarketModel, z_grid: np.ndarray | None = None,
-                    n_quad: int = 96) -> FactorAverages:
-    """Averaged-quantity surface for a model; cached when a z-grid is given."""
-    return FactorAverages(model, z_grid=z_grid, n_quad=n_quad)
-
-
-def z_cache_grid(center: float, halfwidth: float, n_nodes: int = 201,
-                 pad: float = 0.2) -> np.ndarray:
-    """Uniform z-grid around `center`, padded beyond the visited range."""
-    hw = max(halfwidth, 1e-3) * (1.0 + pad)
-    return np.linspace(center - hw, center + hw, n_nodes)
+def z_cache_grid(center: float, halfwidth: float) -> np.ndarray:
+    """Uniform 201-node z-grid around `center`, padded 20 % beyond the visited
+    range; the floor on the half-width keeps a relative z-step of 1e-4 on it."""
+    hw = max(halfwidth, 1e-3 * max(1.0, abs(center))) * (1.0 + 0.2)
+    return np.linspace(center - hw, center + hw, 201)
 
 
 def slow_factor_range(drift, vol, z0: float, s_max: float) -> tuple[float, float]:
@@ -451,7 +418,7 @@ def _need(params, n, name):
 
 SHARPE_REGISTRY = {
     # lam(y, z) = p0
-    "const": lambda p: (lambda y, z: np.full(np.broadcast(y, z).shape, _need(p, 1, "const")[0])),
+    "const": lambda p: (lambda y, z, q=_need(p, 1, "const"): np.full(np.broadcast(y, z).shape, q[0])),
     # lam(y, z) = p0 + p1 z
     "affine_z": lambda p: (lambda y, z, q=_need(p, 2, "affine_z"): (q[0] + q[1] * np.asarray(z, dtype=float)) * np.ones(np.broadcast(y, z).shape)),
     # lam(y, z) = p0 + p1 z + p2 tanh(y): affine in z with a bounded fast perturbation
@@ -463,13 +430,13 @@ SHARPE_REGISTRY = {
 }
 
 SIGMA_REGISTRY = {
-    "const": lambda p: (lambda y, z: np.full(np.broadcast(y, z).shape, _need(p, 1, "const")[0])),
+    "const": lambda p: (lambda y, z, q=_need(p, 1, "const"): np.full(np.broadcast(y, z).shape, q[0])),
     # sigma = p0 exp(p1 tanh(y)): positive, bounded away from zero
     "exp_tanh_y": lambda p: (lambda y, z, q=_need(p, 2, "exp_tanh_y"): q[0] * np.exp(q[1] * np.tanh(np.asarray(y, dtype=float))) * np.ones(np.broadcast(y, z).shape)),
 }
 
 SLOW_DRIFT_REGISTRY = {
-    "zero": lambda p: (lambda z: np.zeros(np.shape(z))),
+    "zero": lambda p: (lambda z, q=_need(p, 0, "zero"): np.zeros(np.shape(z))),
     # c(z) = p0 (p1 - z)
     "mean_revert": lambda p: (lambda z, q=_need(p, 2, "mean_revert"): q[0] * (q[1] - np.asarray(z, dtype=float))),
 }

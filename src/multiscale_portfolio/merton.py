@@ -294,7 +294,7 @@ class MertonSolution:
     """
 
     def __init__(self, utility: UtilitySpec, sharpe: float, horizon: float,
-                 method: str = "auto", n_quad: int = 96, fd_options: dict | None = None):
+                 method: str = "auto", n_quad: int = 96):
         if sharpe < 0.0:
             raise ValueError(f"sharpe ratio must be nonnegative, got {sharpe}")
         if horizon <= 0.0:
@@ -312,9 +312,7 @@ class MertonSolution:
         self._dual = _DualCore(utility, n_nodes=n_quad)
         self._fd = None
         if method == "finite_difference" and sharpe > 0.0:
-            t_grid, xi, surf = _solve_finite_difference(
-                utility, sharpe, horizon, **(fd_options or {})
-            )
+            t_grid, xi, surf = _solve_finite_difference(utility, sharpe, horizon)
             self._fd = RectBivariateSpline(t_grid, xi, surf, kx=3, ky=3)
             self._fd_xi_range = (xi[0], xi[-1])
 

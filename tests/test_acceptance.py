@@ -119,7 +119,7 @@ def test_criterion_3_poisson_averaging_oracle():
         )
         exact = -math.sqrt(2.0) * nu**3
         worst_b = max(worst_b, abs(fast_coupling(model, 0.0) / exact - 1.0))
-        rms = averaged_sharpe(model).sharpe_rms(0.0)
+        rms = averaged_sharpe(model, z_grid=np.linspace(-1.0, 1.0, 201)).sharpe_rms(0.0)
         worst_rms = max(worst_rms, abs(rms / nu - 1.0))
     elapsed = time.monotonic() - t0
     report(
@@ -143,7 +143,7 @@ def test_criterion_4_vega_gamma_identity():
         fast=OrnsteinUhlenbeckFactor(mean=0.0, vol=0.5),
         epsilon=0.1, delta=0.1,
     )
-    averages = averaged_sharpe(model)
+    averages = averaged_sharpe(model, z_grid=np.linspace(0.1, 1.1, 201))
     worst = {"power": 0.0, "mixture": 0.0}
     for name, u in (("power", power), ("mixture", mixture)):
         bundle = ExpansionBundle(model, averages, u, 1.0)

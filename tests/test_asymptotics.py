@@ -33,7 +33,7 @@ def make_bundle(sharpe_name, sharpe_params, utility=POWER_HALF, nu=0.5, horizon=
     )
     defaults.update(kwargs)
     model = MarketModel(sharpe=SHARPE_REGISTRY[sharpe_name](list(sharpe_params)), **defaults)
-    averages = averaged_sharpe(model)
+    averages = averaged_sharpe(model, z_grid=z_cache_grid(0.0, 2.0))
     return ExpansionBundle(model, averages, utility, horizon)
 
 

@@ -282,6 +282,56 @@ def test_cli_rejects_an_unbounded_slow_factor(tmp_path, capsys):
     assert "config error: the slow factor's range" in capsys.readouterr().out
 
 
+def _edited_default(*edits):
+    text = DEFAULT_CONFIG_TEXT
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.mark.parametrize("edits", [
+    [("sharpe = affine_z_tanh_y", "sharpe = bogus")],
+    [("sigma = const", "sigma = bogus")],
+    [("deltas = match", "deltas = 0.1, x, 0.2, 0.3")],
+    [("rho1 = -0.5\nrho2 = -0.4\nrho12 = 0.1", "rho1 = 0.9\nrho2 = 0.9\nrho12 = -0.9")],
+    [("fast_vol = 0.7", "fast_vol = -0.7")],
+    [("sigma_params = 0.5", "sigma_params = -0.5")],
+    [("gamma = 0.5", "gamma = 1.5")],
+    [("sharpe_params = 0.5, 0.25, 0.35", "sharpe_params = 0.5, 0.25")],
+    [("sharpe = affine_z_tanh_y\nsharpe_params = 0.5, 0.25, 0.35",
+      "sharpe = const\nsharpe_params = 0.5, 0.25")],
+    [("kind = power\ngamma = 0.5",
+      "kind = power_mixture\nweights = 1.0\nexponents = 0.5, 0.25")],
+    [("slow_drift = mean_revert", "slow_drift = zero")],
+], ids=["sharpe_name", "sigma_name", "deltas", "correlations", "fast_vol", "sigma_params",
+        "gamma", "sharpe_params", "const_sharpe_params", "mixture_lengths", "zero_drift_params"])
+def test_cli_rejects_settings_the_constructors_reject(tmp_path, capsys, edits):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(_edited_default(*edits))
+    code = run_cli(["expand", "--config", str(bad), "--out", str(tmp_path)])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edits", [
+    [("slow_drift = mean_revert\nslow_drift_params = 1.0, 0.0", "slow_drift = zero"),
+     ("slow_vol_params = 0.75", "slow_vol_params = 0.0")],
+    [("slow_drift = mean_revert\nslow_drift_params = 1.0, 0.0", "slow_drift = zero"),
+     ("slow_vol_params = 0.75", "slow_vol_params = 0.0"), ("z0 = 0.0", "z0 = 20.0")],
+    [("slow_drift_params = 1.0, 0.0", "slow_drift_params = 1.0, 1.0"),
+     ("slow_vol_params = 0.75", "slow_vol_params = 0.05")],
+], ids=["still_at_0", "still_at_20", "drifting"])
+def test_cli_commands_run_on_narrow_and_off_centre_grids(tmp_path, edits):
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(_edited_default(*edits))
+    assert run_cli(["expand", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert run_cli(["invariants", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    verdicts = [line.rsplit(",", 1)[1]
+                for line in (tmp_path / "invariants.csv").read_text().splitlines()[1:]]
+    assert len(verdicts) > 20 and set(verdicts) == {"PASS"}
+
+
 def test_cli_expand_and_solve_merton(tmp_path):
     assert run_cli(["expand", "--config", "default", "--out", str(tmp_path)]) == 0
     assert run_cli(["solve-merton", "--config", "default", "--out", str(tmp_path)]) == 0

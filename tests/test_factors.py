@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from multiscale_portfolio import factors
 from multiscale_portfolio.factors import (
     MarketModel,
     OrnsteinUhlenbeckFactor,
@@ -14,12 +15,14 @@ from multiscale_portfolio.factors import (
     SLOW_DRIFT_REGISTRY,
     SLOW_VOL_REGISTRY,
     TABLE_COLUMNS,
+    _rms_sharpe_exact,
     averaged_sharpe,
     fast_coupling,
     invariant_average,
     slow_factor_range,
     z_cache_grid,
 )
+from multiscale_portfolio.merton import richardson_derivative
 
 
 def make_model(sharpe_name, sharpe_params, nu=0.5, mean=0.0, **kwargs):
@@ -87,7 +90,8 @@ def test_average_normalization_and_moments():
 def test_average_aborts_on_nonfinite_integrand():
     model = make_model("const", [0.7])
     with pytest.raises(RuntimeError):
-        invariant_average(model, lambda y, z: 1.0 / (y - y), 0.0)
+        with np.errstate(divide="ignore"):
+            invariant_average(model, lambda y, z: 1.0 / (y - y), 0.0)
 
 
 # -- Poisson corrector --------------------------------------------------------
@@ -159,7 +163,7 @@ def test_coupling_independent_of_correlations():
 
 def test_averages_constant_in_y():
     model = make_model("affine_z", [0.0, 1.0])  # lam = z
-    av = averaged_sharpe(model)
+    av = averaged_sharpe(model, z_grid=z_cache_grid(0.0, 2.0))
     for z in (0.5, 1.0, 2.0):
         assert av.sharpe_rms(z) == pytest.approx(abs(z), rel=1e-12)
         assert av.sharpe_mean(z) == pytest.approx(z, rel=1e-12)
@@ -170,51 +174,58 @@ def test_averages_constant_in_y():
 def test_averages_proportional_model():
     # lam = z*y on OU(0, 1): rms = |z|, mean = 0
     model = make_model("prop_yz", [1.0], nu=1.0)
-    av = averaged_sharpe(model)
+    av = averaged_sharpe(model, z_grid=z_cache_grid(0.0, 2.0))
     assert av.sharpe_rms(0.7) == pytest.approx(0.7, rel=1e-10)
     assert av.sharpe_mean(0.7) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_degenerate_fast_factor_point_mass():
     model = make_model("affine_z_tanh_y", [0.5, 0.0, 0.3], nu=0.0, mean=1.0)
-    av = averaged_sharpe(model)
+    av = averaged_sharpe(model, z_grid=z_cache_grid(0.0, 2.0))
     expected = abs(0.5 + 0.3 * math.tanh(1.0))
     assert av.sharpe_rms(0.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_cauchy_schwarz_everywhere():
     model = make_model("affine_z_tanh_y", [0.5, 0.25, 0.35], nu=0.7)
-    av = averaged_sharpe(model)
+    av = averaged_sharpe(model, z_grid=z_cache_grid(0.0, 2.0))
     for z in np.linspace(-2.0, 2.0, 15):
         assert av.sharpe_mean(z) ** 2 <= av.sharpe_rms(z) ** 2 + 1e-14
 
 
+def exact_columns(model):
+    """The first four TABLE_COLUMNS by the module quadrature functions."""
+    def rms(z):
+        return _rms_sharpe_exact(model, z)
+    return (rms, lambda z: invariant_average(model, model.sharpe, z),
+            lambda z: richardson_derivative(rms, z, 1, 1e-4 * max(1.0, abs(z))),
+            lambda z: fast_coupling(model, z))
+
+
 def test_cached_grid_matches_exact():
     model = make_model("affine_z_tanh_y", [0.5, 0.25, 0.35], nu=0.7)
-    exact = averaged_sharpe(model)
+    rms, mean, rms_slope, coupling = exact_columns(model)
     cached = averaged_sharpe(model, z_grid=z_cache_grid(0.0, 1.5))
     zs = np.linspace(-1.2, 1.2, 9)
     for z in zs:
-        assert float(cached.sharpe_rms(z)) == pytest.approx(exact.sharpe_rms(z), rel=1e-9)
-        assert float(cached.sharpe_mean(z)) == pytest.approx(exact.sharpe_mean(z), rel=1e-9)
-        assert float(cached.coupling(z)) == pytest.approx(exact.coupling(z), rel=1e-7)
-        assert float(cached.sharpe_rms_slope(z)) == pytest.approx(
-            exact.sharpe_rms_slope(z), rel=1e-6
-        )
+        assert float(cached.sharpe_rms(z)) == pytest.approx(rms(z), rel=1e-9)
+        assert float(cached.sharpe_mean(z)) == pytest.approx(mean(z), rel=1e-9)
+        assert float(cached.coupling(z)) == pytest.approx(coupling(z), rel=1e-7)
+        assert float(cached.sharpe_rms_slope(z)) == pytest.approx(rms_slope(z), rel=1e-6)
 
 
 def test_table_matches_exact_off_nodes():
     model = make_model("affine_z_tanh_y", [0.5, 0.25, 0.35], nu=0.7)
-    exact = averaged_sharpe(model)
+    exact = exact_columns(model)
     cached = averaged_sharpe(model, z_grid=z_cache_grid(0.0, 1.5))
     grid = cached.z_grid
     mid = 0.5 * (grid[:-1] + grid[1:])
     zs = mid[np.abs(mid) <= 1.2][::20]  # off-node points inside the visited range
     tab = cached.table(zs)
     assert tab.shape == (len(TABLE_COLUMNS), zs.size)
-    for name, row, rel in zip(TABLE_COLUMNS, tab, (1e-9, 1e-9, 1e-6, 1e-7)):
+    for name, row, rel, f in zip(TABLE_COLUMNS, tab, (1e-9, 1e-9, 1e-6, 1e-7), exact):
         for z, got in zip(zs, row):
-            assert got == pytest.approx(getattr(exact, name)(z), rel=rel)
+            assert got == pytest.approx(f(z), rel=rel)
         assert np.array_equal(getattr(cached, name)(zs), row)
     # slope columns: central differences of the table's own value columns
     h = 1e-5
@@ -226,6 +237,16 @@ def test_cached_grid_must_be_uniform():
     model = make_model("affine_z_tanh_y", [0.5, 0.25, 0.35], nu=0.7)
     with pytest.raises(ValueError, match="uniform"):
         averaged_sharpe(model, z_grid=np.linspace(-1.0, 1.0, 9) ** 3)
+
+
+def test_table_builds_share_one_gauss_legendre_rule(monkeypatch):
+    calls, rule = [], factors.roots_legendre
+    monkeypatch.setattr(factors, "roots_legendre", lambda n: calls.append(n) or rule(n))
+    factors._gauss_legendre.cache_clear()
+    model = make_model("affine_z_tanh_y", [0.5, 0.25, 0.35], nu=0.7)
+    for center in (0.0, 1.0):
+        averaged_sharpe(model, z_grid=z_cache_grid(center, 0.5))
+    assert len(calls) == 1
 
 
 def test_slow_factor_range_follows_drift_and_noise():
