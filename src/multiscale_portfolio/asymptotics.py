@@ -22,10 +22,12 @@ the local Sharpe-to-vol ratio sized by the averaged risk tolerance.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .factors import FactorAverages, MarketModel, PoissonSolution
-from .merton import _DualCore, merton_pack, solve_merton
+from .merton import MertonTable, _DualCore, merton_pack, solve_merton
 from .utility import UtilitySpec
 
 __all__ = ["ExpansionBundle"]
@@ -36,7 +38,10 @@ class ExpansionBundle:
 
     Scalar calls accept floats; the vectorized paths accept arrays for x and
     z with a scalar t (the Monte Carlo engine's access pattern).  For a pure
-    power utility all evaluations are closed form.
+    power utility all evaluations are closed form.  For any other utility the
+    terms the engine reads every step (``risk_tolerance`` and so ``pi_zero``,
+    ``value_xx`` and ``q_gradients``) come from a :class:`MertonTable`, built
+    on first use; the value and its corrections stay on the exact dual.
     """
 
     def __init__(self, model: MarketModel, averages: FactorAverages,
@@ -48,14 +53,29 @@ class ExpansionBundle:
         self.utility = utility
         self.horizon = float(horizon)
         self._dual = None if utility.is_power else _DualCore(utility, n_nodes=n_quad)
+        self._table = None
+        self._table_lock = threading.Lock()
 
     # -- Merton access ---------------------------------------------------------
 
-    def _surface(self, t, x, z, order=2, rms=None):
+    def merton_table(self) -> MertonTable | None:
+        """The engine's Merton surface: None for a pure power, else a table
+        whose s-range covers lam = sharpe_rms anywhere on the z-grid at any
+        t, built once (under a lock, so concurrent chunks never race)."""
+        if self._dual is not None and self._table is None:
+            with self._table_lock:
+                if self._table is None:
+                    rms = self.averages.table(self.averages.z_grid, slopes=False)[0]
+                    s_max = float(np.max(rms))**2 * self.horizon
+                    self._table = MertonTable(self._dual, s_max or 1.0)  # any box holds s = 0
+        return self._table
+
+    def _surface(self, t, x, z, order=2, rms=None, table=False):
         """Merton pack at the per-point averaged Sharpe ``rms`` (looked up from
-        z when not given); vectorized."""
+        z when not given), from the engine's table when ``table``; vectorized."""
         lam = np.asarray(self.averages.sharpe_rms(z) if rms is None else rms, dtype=float)
-        return merton_pack(self.utility, lam, self.horizon - t, x, order, self._dual)
+        solver = self.merton_table() if table else self._dual
+        return merton_pack(self.utility, lam, self.horizon - t, x, order, solver)
 
     # -- expansion terms --------------------------------------------------------
 
@@ -64,7 +84,7 @@ class ExpansionBundle:
         return self._surface(t, x, z)["m"]
 
     def value_xx(self, t, x, z):
-        return self._surface(t, x, z)["m_xx"]
+        return self._surface(t, x, z, table=True)["m_xx"]
 
     def risk_tolerance(self, t, x, z):
         """R(t, x; rms(z)); exactly 0 at zero wealth, so every position built
@@ -73,7 +93,16 @@ class ExpansionBundle:
         if self.utility.is_power:
             return x / (1.0 - self.utility.gamma)
         alive = x > 0.0  # the dual solve needs x > 0: stand-in wealth 1 at the floor
-        return np.where(alive, self._surface(t, np.where(alive, x, 1.0), z)["r"], 0.0)
+        return np.where(alive, self._surface(t, np.where(alive, x, 1.0), z, table=True)["r"],
+                        0.0)
+
+    def exact_surface_points(self, t, x, rms) -> int:
+        """How many of the points (x, rms) the engine's table leaves to the
+        exact dual (0 for a pure power, which has no table)."""
+        table = self.merton_table()
+        if table is None:
+            return 0
+        return int(np.count_nonzero(~table.covers(rms**2 * (self.horizon - t), x)))
 
     def d1(self, t, x, z, pack=None):
         """D1 v = R M_x."""
@@ -182,7 +211,7 @@ class ExpansionBundle:
         if row is None:
             row = self.averages.table(z)
         rms, rms_p = row[0], row[2]
-        p = self._surface(t, x, z, order=4, rms=rms)
+        p = self._surface(t, x, z, order=4, rms=rms, table=True)
         fast, slow, fast_z, slow_z = self._prefactors(t, z, row, slopes=True)
 
         # d/dx D1^2 v = M_x [ (R_x - 1)^2 + R R_xx ]

@@ -21,11 +21,26 @@ R = -M_x/M_xx.  Three solution methods:
         M = Vt + x y*,  M_x = y*,  M_xx = -1/Vt_yy,  R = y* Vt_yy.
 
     The method is mesh-free and evaluable at arbitrary (t, x), including
-    vectorized evaluation with a per-point Sharpe ratio.
+    vectorized evaluation with a per-point Sharpe ratio.  Each point's
+    Newton solve stops at its own convergence and its quadrature sum is its
+    own, so a point's bits do not depend on the rest of its batch.
 
 ``finite_difference``
     Implicit backward scheme on a uniform log-wealth grid, Newton iteration
     per time step; used as an independent cross-check of the dual method.
+
+The Monte Carlo engine reads the surface of a general utility every step,
+too often for the dual: :class:`MertonTable` tabulates the dual's order-4
+pack in (s = lam^2 tau, log x), which is all the dual depends on.  Its box
+is s in [0, s_max] (25 nodes; the expansion bundle takes s_max from the
+largest averaged Sharpe ratio on its z-grid and the horizon, 1.87 in the
+reference scenario) by x in [1e-4, 1e4] (81 log-spaced nodes).  Against the
+dual at 20,000 random points over the box (power mixture, weights (1, 1),
+exponents (0.5, 0.25), s_max = 2.5) it agrees to 1.5e-8 relative on m_x and
+m_xx, 5e-9 on r and 1e-8 on r_x, and x r_xx to 1.2e-8 absolute; the tests
+certify 1e-7.  Points off the box are evaluated by the dual itself.  The
+value m and everything the tests and studies compare against stay on the
+dual.
 
 The wealth-differential operators D_k = R^k d^k/dx^k and the linearized
 Merton operator d/dt + (1/2) lam^2 D_2 + lam^2 D_1 are exposed through
@@ -35,7 +50,7 @@ Merton operator d/dt + (1/2) lam^2 D_2 + lam^2 D_1 are exposed through
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import CubicSpline, RectBivariateSpline
 from scipy.linalg import solve_banded
 from scipy.special import roots_hermite
 
@@ -43,6 +58,7 @@ from .utility import UtilitySpec
 
 __all__ = [
     "MertonSolution",
+    "MertonTable",
     "solve_merton",
     "merton_pack",
     "apply_dk",
@@ -81,54 +97,62 @@ class _DualCore:
         ef = np.exp(-0.5 * lam**2 * tau + lam * np.sqrt(tau) * self.nodes)
         return ef
 
+    def _expect(self, a):
+        # Gauss-Hermite sum over the last axis, one point at a time: a BLAS
+        # matvec's rounding depends on the other rows of its batch
+        return np.sum(a * self.weights, axis=-1)
+
     def derivs(self, lam, tau, y, order: int = 2):
         """Dual value Vt and y-derivatives up to `order` (max 4) at array y."""
         u = self.utility
         ef = self._factors(lam, tau)
         ye = np.asarray(y, dtype=float)[..., None] * ef
         x = u.inverse_marginal(ye)
-        w = self.weights
-        out = [((u.u(x) - ye * x) * np.ones_like(ef)) @ w]
+        out = [self._expect(u.u(x) - ye * x)]
         if order >= 1:
-            out.append(-(x * ef) @ w)
+            out.append(-self._expect(x * ef))
         if order >= 2:
             u2 = u.du(x, 2)
             i1 = 1.0 / u2
-            out.append(-(i1 * ef**2) @ w)
+            out.append(-self._expect(i1 * ef**2))
         if order >= 3:
             u3 = u.du(x, 3)
             i2 = -u3 / u2**3
-            out.append(-(i2 * ef**3) @ w)
+            out.append(-self._expect(i2 * ef**3))
         if order >= 4:
             u4 = u.du(x, 4)
             i3 = (3.0 * u3**2 - u2 * u4) / u2**5
-            out.append(-(i3 * ef**4) @ w)
+            out.append(-self._expect(i3 * ef**4))
         return out
 
     def marginal_value(self, lam, tau, x):
-        """Solve x = -Vt_y(t, y) for y = M_x(t, x); vectorized Newton in log y."""
+        """Solve x = -Vt_y(t, y) for y = M_x(t, x); Newton in log y, each point
+        stopping at its own convergence, so a point's bits never depend on
+        the other points in the batch."""
         u = self.utility
         x = np.asarray(x, dtype=float)
-        lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), x.shape)
+        lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), x.shape).reshape(-1)
+        logx = np.log(x).reshape(-1)
         # Power-proxy seed using the asymptotic elasticity.
         ae = u.asymptotic_elasticity
-        v = np.log(u.du(x, 1)) + 0.5 * lam_arr**2 * tau * ae / (1.0 - ae)
-        logx = np.log(x)
-        resid = None
+        v = np.log(u.du(x, 1)).reshape(-1) + 0.5 * lam_arr**2 * tau * ae / (1.0 - ae)
+        todo = np.arange(v.size)
         for _ in range(80):
-            y = np.exp(v)
-            _, vy, vyy = self.derivs(lam_arr, tau, y, order=2)
-            resid = np.log(-vy) - logx
-            if np.all(np.abs(resid) <= 1e-14):
+            y = np.exp(v[todo])
+            _, vy, vyy = self.derivs(lam_arr[todo], tau, y, order=2)
+            resid = np.log(-vy) - logx[todo]
+            live = np.abs(resid) > 1e-14
+            if not live.any():
                 break
+            todo, y, vy, vyy, resid = todo[live], y[live], vy[live], vyy[live], resid[live]
             slope = y * vyy / vy  # d log(-Vt_y) / d log y, strictly negative
-            v = v + np.clip(-resid / slope, -1.5, 1.5)
+            v[todo] += np.clip(-resid / slope, -1.5, 1.5)
         else:
             worst = float(np.max(np.abs(resid)))
             raise RuntimeError(
                 f"dual first-order condition did not converge (max residual {worst:.3e})"
             )
-        return np.exp(v)
+        return np.exp(v).reshape(x.shape)
 
     def evaluate(self, lam, tau, x, order: int = 2) -> dict:
         """Primal surface at (tau, x) with per-point Sharpe ratio lam.
@@ -137,7 +161,9 @@ class _DualCore:
         (order >= 4) r_xx, m_x4.
         """
         x = np.asarray(x, dtype=float)
-        lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), x.shape).copy()
+        shape = x.shape
+        x = x.reshape(-1)  # a scalar takes the array path too, and gets its bits
+        lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), shape).reshape(-1)
         ystar = self.marginal_value(lam_arr, tau, x)
         d = self.derivs(lam_arr, tau, ystar, order=order)
         vt, vy, vyy = d[0], d[1], d[2]
@@ -155,6 +181,85 @@ class _DualCore:
             vyyyy = d[4]
             out["m_x4"] = vyyyy / vyy**4 - 3.0 * vyyy**2 / vyy**5
             out["r_xx"] = (vyyy / vyy + ystar * (vyyyy * vyy - vyyy**2) / vyy**2) / vyy
+        return {k: v.reshape(shape) for k, v in out.items()}
+
+
+# ---------------------------------------------------------------------------
+# tabulated dual surface for the Monte Carlo engine
+# ---------------------------------------------------------------------------
+
+TABLE_S_NODES = 25
+TABLE_X_NODES = 81
+TABLE_X_RANGE = (1e-4, 1e4)
+
+
+class MertonTable:
+    """Bicubic table of the dual's order-4 pack in (s = lam^2 tau, log x).
+
+    The dual depends on (lam, tau) only through s, so one table serves every
+    Sharpe ratio and time with lam^2 tau <= s_max.  Each s-node is one
+    ``dual.evaluate`` call over the log-x nodes (row by row, which keeps the
+    build's memory flat).  The columns log m_x, r/x, r_x and x r_xx are
+    stacked into one not-a-knot tensor cubic, evaluated with one interval
+    lookup and one Horner pass; m_xx = -m_x/r.  The pack holds m_x, m_xx, r,
+    r_x and r_xx, not m.  Points off the (s, x) box go to the exact dual,
+    never to an extrapolation.
+    """
+
+    def __init__(self, dual: _DualCore, s_max: float):
+        if not s_max > 0.0:
+            raise ValueError(f"table needs a positive s_max, got {s_max}")
+        self.dual = dual
+        self.s_max = float(s_max)
+        s = np.linspace(0.0, self.s_max, TABLE_S_NODES)
+        logx = np.linspace(np.log(TABLE_X_RANGE[0]), np.log(TABLE_X_RANGE[1]), TABLE_X_NODES)
+        x = np.exp(logx)
+        nodes = np.empty((4, s.size, x.size))
+        for i, s_i in enumerate(s):
+            p = dual.evaluate(np.sqrt(s_i), 1.0, x, order=4)
+            nodes[:, i] = np.log(p["m_x"]), p["r"] / x, p["r_x"], x * p["r_xx"]
+        # c[a, i, b, j, col] multiplies ds^(3 - a) dlogx^(3 - b) on cell (i, j)
+        c = CubicSpline(s, CubicSpline(logx, nodes, axis=2).c, axis=3).c
+        self._coef = np.ascontiguousarray(
+            c.transpose(4, 0, 2, 1, 3).reshape(4, 4, 4, -1))
+        self._s, self._logx = s, logx
+        self._inv_ds = (s.size - 1) / self.s_max
+        self._inv_dlogx = (x.size - 1) / (logx[-1] - logx[0])
+
+    def covers(self, s, x):
+        """Whether each point (s, x) lies in the table's box."""
+        logx = np.log(x)
+        return (s <= self.s_max) & (logx >= self._logx[0]) & (logx <= self._logx[-1])
+
+    def _interpolate(self, s, logx):
+        # uniform grids: the cell is arithmetic, and points in the box keep it >= 0
+        i = np.minimum((s * self._inv_ds).astype(np.intp), TABLE_S_NODES - 2)
+        j = np.minimum(((logx - self._logx[0]) * self._inv_dlogx).astype(np.intp),
+                       TABLE_X_NODES - 2)
+        ds, dx = s - self._s[i], logx - self._logx[j]
+        c = self._coef[..., i * (TABLE_X_NODES - 1) + j]  # (col, a, b, n)
+        px = ((c[:, :, 0] * dx + c[:, :, 1]) * dx + c[:, :, 2]) * dx + c[:, :, 3]
+        return ((px[:, 0] * ds + px[:, 1]) * ds + px[:, 2]) * ds + px[:, 3]
+
+    def evaluate(self, lam, tau, x, order: int = 2) -> dict:
+        """m_x, m_xx, r and, by order, r_x and r_xx at (tau, x), lam per point."""
+        x = np.asarray(x, dtype=float)
+        lam = np.broadcast_to(np.asarray(lam, dtype=float), x.shape)
+        s = lam**2 * tau
+        inside = self.covers(s, x)
+        keys = ("m_x", "m_xx", "r", "r_x", "r_xx")[:order + 1]
+        out = {k: np.empty(x.shape) for k in keys}
+        if inside.any():
+            xi = x[inside]
+            log_mx, r_over_x, r_x, x_rxx = self._interpolate(s[inside], np.log(xi))
+            cols = {"m_x": np.exp(log_mx), "r": r_over_x * xi, "r_x": r_x, "r_xx": x_rxx / xi}
+            cols["m_xx"] = -cols["m_x"] / cols["r"]
+            for k in keys:
+                out[k][inside] = cols[k]
+        if not inside.all():
+            exact = self.dual.evaluate(lam[~inside], tau, x[~inside], order=max(order, 2))
+            for k in keys:
+                out[k][~inside] = exact[k]
         return out
 
 
@@ -249,13 +354,14 @@ def _solve_finite_difference(
 
 
 def merton_pack(utility: UtilitySpec, lam, tau: float, x, order: int = 2,
-                dual: _DualCore | None = None) -> dict:
+                dual: _DualCore | MertonTable | None = None) -> dict:
     """Value, x-derivatives and risk tolerance at time to horizon tau and
     Sharpe ratio lam (a scalar, or one per point of x).
 
     The pack holds m, m_x, m_xx and r; order >= 3 adds r_x and m_x3, order
     >= 4 adds r_xx and m_x4.  It is U itself at tau = 0, the dual quadrature
-    of ``dual`` when one is given, and the power closed form otherwise.
+    of ``dual`` when one is given (a :class:`MertonTable` serves its own
+    pack, without m, m_x3 and m_x4), and the power closed form otherwise.
     """
     u = utility
     x = np.asarray(x, dtype=float)

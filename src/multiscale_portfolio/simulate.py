@@ -97,6 +97,7 @@ class ZerothOrder(Strategy):
 
     def __init__(self, bundle: ExpansionBundle):
         self.bundle = bundle
+        bundle.merton_table()  # set-up: the surface pi_zero reads, built before any step
 
     def position(self, t, x, y, z):
         return self.bundle.pi_zero(t, x, y, z)
@@ -219,6 +220,7 @@ class PathEnsemble:
     utility_terminal: np.ndarray
     control_variate: np.ndarray
     floor_hit: np.ndarray
+    surface_exact_points: int = 0          # path-steps off the Merton table's box
     drag_kind: str | None = None          # "bump" | "mismatch" | None
     drag_max_increment: np.ndarray | None = None
     drag_active: np.ndarray | None = None  # any nonzero increment seen
@@ -275,7 +277,7 @@ def _chunk_bounds(n_paths: int, chunk_size: int):
 
 
 class _ChunkResult:
-    __slots__ = ("x", "u", "cv", "hit", "drag_max", "drag_active", "bump_sums")
+    __slots__ = ("x", "u", "cv", "hit", "drag_max", "drag_active", "bump_sums", "exact")
 
     def __init__(self, n_strat, n):
         self.x = [np.empty(n) for _ in range(n_strat)]
@@ -285,6 +287,7 @@ class _ChunkResult:
         self.drag_max = [np.full(n, -np.inf) for _ in range(n_strat)]
         self.drag_active = [np.zeros(n, dtype=bool) for _ in range(n_strat)]
         self.bump_sums = [np.zeros((2, 4)) for _ in range(n_strat)]
+        self.exact = [0] * n_strat
 
 
 def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
@@ -308,6 +311,8 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
     y = np.full(n_chunk, cfg.y0)
     z = np.full(n_chunk, cfg.z0)
     xs = [np.full(n_chunk, cfg.x0) for _ in range(n_strat)]
+    # a non-power bundle serves the surface from its table: count what it cannot
+    tabulated = bundle.merton_table() is not None
 
     for step in range(n_steps):
         t = step * dt
@@ -326,6 +331,8 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
         gz = model.slow_vol(z)
         # one factor table per step, shared by every strategy's CV gradients
         tab = bundle.averages.table(z) if cfg.control_variate else None
+        if tabulated:
+            rms = tab[0] if tab is not None else bundle.averages.sharpe_rms(z)
 
         for k, strat in enumerate(strategies):
             x = xs[k]
@@ -333,6 +340,8 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
             alive = x > 0.0
             # paths at the floor get a stand-in wealth of 1 and no CV or drag increment
             x_live = np.where(alive, x, 1.0)
+            if tabulated:
+                res.exact[k] += bundle.exact_surface_points(t, x_live, rms)
 
             if cfg.control_variate:
                 qx, qz = bundle.q_gradients(t, x_live, z, row=tab)
@@ -424,6 +433,7 @@ def run_ensembles(model: MarketModel, strategies: list[Strategy],
             utility_terminal=u_t,
             control_variate=cv,
             floor_hit=hit,
+            surface_exact_points=sum(r.exact[k] for r in results),
         )
         if collect_drag:
             ens.drag_kind = "bump" if isinstance(strat, Perturbed) else "mismatch"
@@ -488,6 +498,7 @@ def summarize(ensemble: PathEnsemble, chunk_size: int,
     diagnostics = {
         "cv_mean": float(np.mean(cv)) if cv.size else 0.0,
         "aborted_paths": n_aborted,
+        "surface_exact_points": ensemble.surface_exact_points,
         "bump_moments": ensemble.bump_moments,
     }
     if ensemble.drag_max_increment is not None:

@@ -116,29 +116,35 @@ class UtilitySpec:
         gmin = min(self.exponents)
         cmax = self.weights[self.exponents.index(gmax)]
         cmin = self.weights[self.exponents.index(gmin)]
-        logy = np.log(y)
+        logy = np.log(y).reshape(-1)
         # Seed from the dominant single power on each side of U'(1).
         up1 = sum(self.weights)
         t = np.where(
-            y < up1,
+            y.reshape(-1) < up1,
             (logy - np.log(cmax)) / (gmax - 1.0),
             (logy - np.log(cmin)) / (gmin - 1.0),
         )
+        # Each point stops at its own convergence, so its bits never depend on
+        # the other points in the batch.  It still takes the step from the
+        # iterate that met the tolerance: that last step leaves I(y) at
+        # rounding level, which the dual's 1e-14 stop on sums of I needs.
+        todo = np.arange(t.size)
         for _ in range(_NEWTON_MAX_ITER):
-            x = np.exp(t)
+            x = np.exp(t[todo])
             u1 = self.du(x, 1)
-            resid = np.log(u1) - logy
-            if np.all(np.abs(resid) <= _NEWTON_REL_TOL):
-                break
+            resid = np.log(u1) - logy[todo]
             slope = x * self.du(x, 2) / u1  # strictly negative
-            step = np.clip(-resid / slope, -2.0, 2.0)
-            t = t + step
+            t[todo] += np.clip(-resid / slope, -2.0, 2.0)
+            live = np.abs(resid) > _NEWTON_REL_TOL
+            if not live.any():
+                break
+            todo = todo[live]
         else:
             worst = float(np.max(np.abs(resid)))
             raise RuntimeError(
                 f"marginal-utility inversion did not converge (max residual {worst:.3e})"
             )
-        return np.exp(t)
+        return np.exp(t).reshape(np.shape(y))
 
 
 def make_utility(kind: str, *, gamma=None, weights=None, exponents=None) -> UtilitySpec:

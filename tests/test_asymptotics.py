@@ -123,9 +123,8 @@ def test_zero_wealth_takes_no_position(utility):
             warnings.simplefilter("error")  # zero wealth never reaches the solver
             vec = f(x, y, z)
             assert vec.shape == x.shape
-            for i in range(x.size):  # a mixture's Newton stop is shared across points
-                one = 0.0 if x[i] == 0.0 else pytest.approx(f(x[i], y[i], z[i]), rel=1e-13)
-                assert vec[i] == one
+            for i in range(x.size):
+                assert vec[i] == (0.0 if x[i] == 0.0 else f(x[i], y[i], z[i]))
 
 
 def test_pi_zero_uses_local_sharpe():
@@ -225,3 +224,29 @@ def test_mixture_bundle_leading_order_matches_direct_solve():
     direct = solve_merton(MIXTURE, lam, 1.0, method="dual_quadrature")
     xs = np.logspace(-1, 1, 7)
     assert np.allclose(b.leading_order(0.3, xs, z), direct.value(0.3, xs), rtol=1e-10)
+
+
+def test_power_bundle_has_no_table():
+    b = make_bundle("affine_z_tanh_y", [0.5, 0.25, 0.35])
+    assert b.merton_table() is None
+    b.q_gradients(0.3, np.array([1.0]), np.array([0.0]))
+    assert b._table is None
+    assert b.exact_surface_points(0.3, np.array([1e-6]), np.array([0.6])) == 0
+
+
+def test_mixture_engine_terms_read_the_table_and_the_value_the_dual():
+    b = make_bundle("affine_z_tanh_y", [0.5, 0.25, 0.35], utility=MIXTURE, rho1=-0.5, rho2=-0.4)
+    table = b.merton_table()
+    assert table is b.merton_table()  # built once
+    rms = b.averages.table(b.averages.z_grid, slopes=False)[0]
+    assert table.s_max == np.max(rms) ** 2 * b.horizon
+    t, x, z = 0.3, np.array([1e-6, 0.5, 2.0]), np.array([0.1, -0.2, 0.3])
+    lam = b.averages.sharpe_rms(z)
+    tabulated = table.evaluate(lam, b.horizon - t, x)
+    exact = b._dual.evaluate(lam, b.horizon - t, x)
+    assert np.array_equal(b.risk_tolerance(t, x, z), tabulated["r"])
+    assert np.array_equal(b.value_xx(t, x, z), tabulated["m_xx"])
+    assert b.risk_tolerance(t, x, z)[0] == exact["r"][0]  # off the box: the exact dual
+    assert b.risk_tolerance(t, x, z)[1] != exact["r"][1]
+    assert np.array_equal(b.leading_order(t, x, z), exact["m"])
+    assert b.exact_surface_points(t, x, lam) == 1

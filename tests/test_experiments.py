@@ -415,3 +415,26 @@ def test_shared_factor_table_keeps_strategies_and_workers_apart(default_cfg):
         assert all(getattr(one, f).tobytes() == getattr(two, f).tobytes() for f in fields)
     assert all(getattr(runs[0][0], f).tobytes() == getattr(single, f).tobytes() for f in fields)
     assert np.any(single.control_variate != 0.0)
+
+
+@pytest.fixture(scope="module")
+def mixture_cfg(default_cfg):
+    return replace(default_cfg, utility_kind="power_mixture", weights=(1.0, 1.0),
+                   exponents=(0.5, 0.25), n_paths=2048, seed=5)
+
+
+def test_mixture_optimality_study_reduced_scale(mixture_cfg):
+    study = optimality_study(replace(mixture_cfg, epsilons=(0.4, 0.2), deltas=(0.4, 0.2)))
+    assert study.verdict == "PASS"
+    for r in study.rows:
+        if r["challenger"] == "zeroth_order":
+            assert r["ell_hat"] == 0.0
+        if r["challenger"].startswith("scaled"):
+            assert r["ell_hat"] < -2.0 * r["ell_se"]
+
+
+def test_mixture_residual_study_reduced_scale(mixture_cfg):
+    study = residual_order_study(replace(mixture_cfg, epsilons=(0.4, 0.2, 0.1),
+                                         deltas=(0.4, 0.2, 0.1)))
+    assert study.verdict == "PASS"
+    assert all(r["resolved"] for r in study.rows)

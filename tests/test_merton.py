@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from multiscale_portfolio.merton import (
+    TABLE_X_RANGE,
+    MertonTable,
+    _DualCore,
     apply_dk,
+    merton_pack,
     merton_strategy,
     residual_of_pde,
     solve_merton,
@@ -194,3 +198,63 @@ def test_finite_difference_power_cross_check():
     worst = max(float(np.max(np.abs(fd.value(t, xs) / cf.value(t, xs) - 1.0)))
                 for t in (0.0, 0.5))
     assert worst <= 5e-3
+
+
+def test_dual_evaluate_is_pointwise():
+    # each point's Newton stops on its own residual and its quadrature sum is
+    # its own, so a point's bits do not depend on the rest of its batch
+    dual = _DualCore(MIXTURE)
+    x = np.array([1e-6, 0.3, 1.0, 2.0, 50.0, 1e6])
+    lam = np.array([0.2, 1.1, 0.0, 0.5, 0.9, 0.4])
+    batch = dual.evaluate(lam, 0.6, x, order=4)
+    for i in range(x.size):
+        one = dual.evaluate(lam[i], 0.6, x[i], order=4)
+        assert all(batch[k][i] == one[k] for k in batch)
+    half = dual.evaluate(lam[::2], 0.6, x[::2], order=4)
+    assert all(np.array_equal(half[k], batch[k][::2]) for k in batch)
+
+
+@pytest.fixture(scope="module")
+def mixture_table():
+    return MertonTable(_DualCore(MIXTURE), 2.5)
+
+
+def test_merton_table_certificate(mixture_table):
+    """Against the exact dual at random off-node points over the whole box."""
+    table = mixture_table
+    rng = np.random.default_rng(11)
+    n = 2000
+    s = np.concatenate([rng.uniform(0.0, table.s_max, n), [0.0, table.s_max, table.s_max]])
+    x = np.concatenate([np.exp(rng.uniform(*np.log(TABLE_X_RANGE), n)),
+                        [TABLE_X_RANGE[0], TABLE_X_RANGE[1], 1.0]])
+    tau = 0.8
+    lam = np.sqrt(s / tau)
+    assert np.all(table.covers(s, x))
+    got = table.evaluate(lam, tau, x, order=4)
+    exact = table.dual.evaluate(lam, tau, x, order=4)
+    for k in ("m_x", "m_xx", "r", "r_x"):
+        assert np.max(np.abs(got[k] / exact[k] - 1.0)) <= 1e-7, k
+    assert np.max(x * np.abs(got["r_xx"] - exact["r_xx"])) <= 1e-7
+    assert set(got) == {"m_x", "m_xx", "r", "r_x", "r_xx"}
+
+
+def test_merton_table_leaves_off_box_points_to_the_exact_dual(mixture_table):
+    table = mixture_table
+    tau = 0.5
+    x = np.array([1e-6, 0.7, 1e6, 2.0, 3e-5])
+    lam = np.array([0.8, 0.8, 0.3, 3.0, 1.0])  # lam^2 tau = 4.5 > s_max at x = 2
+    inside = table.covers(lam**2 * tau, x)
+    assert inside.tolist() == [False, True, False, False, False]
+    got = table.evaluate(lam, tau, x, order=3)
+    exact = table.dual.evaluate(lam[~inside], tau, x[~inside], order=3)
+    for k in got:
+        assert np.array_equal(got[k][~inside], exact[k])
+    assert np.array_equal(got["r"][inside], table.evaluate(0.8, tau, 0.7)["r"].reshape(1))
+
+
+def test_merton_pack_serves_the_table_pack(mixture_table):
+    x = np.array([0.5, 2.0])
+    pack = merton_pack(MIXTURE, 0.9, 0.4, x, order=4, dual=mixture_table)
+    assert np.array_equal(pack["r"], mixture_table.evaluate(0.9, 0.4, x, order=4)["r"])
+    terminal = merton_pack(MIXTURE, 0.9, 0.0, x, order=2, dual=mixture_table)
+    assert np.array_equal(terminal["r"], MIXTURE.risk_tolerance(x))  # U itself at tau = 0

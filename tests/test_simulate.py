@@ -1,6 +1,7 @@
 """Monte Carlo engine: discretization, determinism, estimators, sign tests."""
 
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from multiscale_portfolio.simulate import (
     Perturbed,
     Scaled,
     SimConfig,
+    Strategy,
     ZerothOrder,
     bump_drag_diagnostic,
     default_fast_bump,
@@ -336,3 +338,53 @@ def test_summarize_pairs_antithetic_partners():
     est = summarize(ens, cfg.chunk_size, control_variate=False)
     assert est.n_effective == 2048
     assert est.n_paths == 4096
+
+
+MIXTURE = make_utility("power_mixture", weights=(1.0, 1.0), exponents=(0.5, 0.25))
+
+
+def test_off_table_path_steps_are_counted():
+    model = constant_model(eps=0.4, delta=0.4)
+    cfg = cfg_for(model, n_paths=64, chunk_size=32)
+    pb = bundle_for(model)
+    power = estimate_value(model, ZerothOrder(pb), pb, cfg)
+    assert power.diagnostics["surface_exact_points"] == 0
+    b = bundle_for(model, MIXTURE)
+    on_box = estimate_value(model, ZerothOrder(b), b, cfg)
+    assert on_box.diagnostics["surface_exact_points"] == 0
+    # wealth 1e-6 lies below the table's x-range: every path-step goes to the dual
+    tiny = estimate_value(model, ZerothOrder(b), b, replace(cfg, x0=1e-6))
+    assert tiny.diagnostics["surface_exact_points"] == cfg.n_paths * cfg.n_steps
+
+
+class HalfWealth(Strategy):
+    """Half of wealth in the asset; reads no Merton surface."""
+
+    def position(self, t, x, y, z):
+        return 0.5 * np.asarray(x)
+
+
+def test_mixture_table_is_built_once_under_workers(monkeypatch):
+    from multiscale_portfolio import asymptotics
+
+    builds = []
+    real = asymptotics.MertonTable
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(asymptotics, "MertonTable", counting)
+    model = constant_model(eps=0.4, delta=0.4)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # eight chunks on four threads all reach the build at once
+    try:
+        for workers in (1, 4):
+            b = bundle_for(model, MIXTURE)  # HalfWealth builds nothing: the CV's first step does
+            cfg = cfg_for(model, n_paths=128, chunk_size=16, workers=workers)
+            runs.append(run_ensembles(model, [HalfWealth()], b, cfg)[0].control_variate)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 2
+    assert runs[0].tobytes() == runs[1].tobytes() and np.any(runs[0] != 0.0)
