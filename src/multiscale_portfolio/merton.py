@@ -257,7 +257,7 @@ class MertonTable:
             for k in keys:
                 out[k][inside] = cols[k]
         if not inside.all():
-            exact = self.dual.evaluate(lam[~inside], tau, x[~inside], order=max(order, 2))
+            exact = self.dual.evaluate(lam[~inside], tau, x[~inside], order=order)
             for k in keys:
                 out[k][~inside] = exact[k]
         return out
