@@ -12,8 +12,10 @@ With tau = T - t:
 
 using the identity D1^2 v = R M_x (R_x - 1) (from R M_xx = -M_x) and the
 Vega-Gamma relation v_z = tau rms rms' D1 v, which makes every correction a
-closed form in quantities the Merton solver already provides.  The
-second-order fast term -(1/2) theta(y, z) D1 v is exposed purely as an
+closed form in quantities the Merton solver already provides.  The control
+variate's Q_z takes d/dz D1^2 v = k^2 v_z, k = R_x - 1: exact for a power
+utility, and for any other an approximation that moves only the CV's variance.
+The second-order fast term -(1/2) theta(y, z) D1 v is exposed purely as an
 expansion-quality diagnostic and never enters Q.
 
 The zeroth-order strategy invests pi = (lam(y, z)/sigma(y, z)) R(t, x; rms(z)):
@@ -22,6 +24,7 @@ the local Sharpe-to-vol ratio sized by the averaged risk tolerance.
 
 from __future__ import annotations
 
+import copy
 import threading
 
 import numpy as np
@@ -55,6 +58,13 @@ class ExpansionBundle:
         self._dual = None if utility.is_power else _DualCore(utility, n_nodes=n_quad)
         self._table = None
         self._table_lock = threading.Lock()
+
+    def for_model(self, model: MarketModel) -> ExpansionBundle:
+        """This bundle under another model with the same factor averages, sharing
+        the averages, the dual and the engine's Merton table instead of rebuilding."""
+        other = copy.copy(self)
+        other.model = model
+        return other
 
     # -- Merton access ---------------------------------------------------------
 
@@ -104,15 +114,10 @@ class ExpansionBundle:
             return 0
         return int(np.count_nonzero(~table.covers(rms**2 * (self.horizon - t), x)))
 
-    def d1(self, t, x, z, pack=None):
+    def d1(self, t, x, z):
         """D1 v = R M_x."""
-        p = pack if pack is not None else self._surface(t, x, z, order=3)
+        p = self._surface(t, x, z, order=3)
         return p["r"] * p["m_x"]
-
-    def d1sq(self, t, x, z, pack=None):
-        """D1^2 v = R M_x (R_x - 1)."""
-        p = pack if pack is not None else self._surface(t, x, z, order=3)
-        return p["r"] * p["m_x"] * (p["r_x"] - 1.0)
 
     def _prefactors(self, t, z, row, slopes=False):
         """Prefactors of D1^2 v in the corrections, from a FactorAverages.table row:
@@ -140,7 +145,7 @@ class ExpansionBundle:
         """Leading-order pack and the fast and slow first-order corrections."""
         row = self.averages.table(z, slopes=False)
         p = self._surface(t, x, z, order=3, rms=row[0])
-        d1sq = self.d1sq(t, x, z, pack=p)
+        d1sq = p["r"] * p["m_x"] * (p["r_x"] - 1.0)  # D1^2 v
         fast, slow = self._prefactors(t, z, row)
         return p, fast * d1sq, slow * d1sq
 
@@ -192,40 +197,31 @@ class ExpansionBundle:
 
     # -- gradients for the martingale control variate ---------------------------
 
-    def q_gradients(self, t, x, z, row=None):
-        """(d/dx Q, d/dz Q) sharing one derivative pack; feeds the control variate.
-
-        ``row`` is ``averages.table(z)`` when the caller already holds it (the
-        engine evaluates one table per step and shares it across strategies).
-        The x-gradient is exact for every term (using d/dx D1^2 v).  In the
-        z-gradient the leading term uses the exact Vega-Gamma identity; for
-        the two correction terms the z-derivatives of the averaged prefactors
-        come from the factor table, and the z-derivative of D1^2 v itself
-        is included exactly for power utilities (where D1^2 v is proportional
-        to v) and omitted otherwise.  Both gradients only multiply Brownian
-        increments inside the control variate, so truncations here affect
-        variance, never the estimator's validity.
-        """
-        tau = self.horizon - t
-        sqrt_eps, sqrt_delta = np.sqrt(self.model.epsilon), np.sqrt(self.model.delta)
-        if row is None:
-            row = self.averages.table(z)
-        rms, rms_p = row[0], row[2]
-        p = self._surface(t, x, z, order=4, rms=rms, table=True)
+    def q_coefficients(self, t, z, row):
+        """The z-only coefficients of ``q_gradients`` from a FactorAverages.table
+        row: a = sqrt(eps) fast + sqrt(delta) slow, its z-slope b, tau rms rms'
+        and rms.  The engine computes them once per step for every strategy."""
         fast, slow, fast_z, slow_z = self._prefactors(t, z, row, slopes=True)
+        se, sd = np.sqrt(self.model.epsilon), np.sqrt(self.model.delta)
+        return (se * fast + sd * slow, se * fast_z + sd * slow_z,
+                (self.horizon - t) * row[0] * row[2], row[0])
 
-        # d/dx D1^2 v = M_x [ (R_x - 1)^2 + R R_xx ]
-        d1sq_x = p["m_x"] * ((p["r_x"] - 1.0) ** 2 + p["r"] * p["r_xx"])
-        q_x = p["m_x"] + (sqrt_eps * fast + sqrt_delta * slow) * d1sq_x
+    def q_gradients(self, t, x, z, coefs=None):
+        """(d/dx Q, d/dz Q) from one derivative pack; feeds the control variate.
 
-        d1 = p["r"] * p["m_x"]
-        d1sq = d1 * (p["r_x"] - 1.0)
-        v_z = tau * rms * rms_p * d1
-        if self.utility.is_power:
-            k1 = self.utility.gamma / (1.0 - self.utility.gamma)
-            d1sq_z = k1**2 * v_z
-        else:
-            d1sq_z = 0.0
-        q_z = (v_z + sqrt_eps * (fast_z * d1sq + fast * d1sq_z)
-               + sqrt_delta * (slow_z * d1sq + slow * d1sq_z))
+        ``coefs`` is ``q_coefficients(t, z, averages.table(z))`` when the caller
+        holds it.  With k = R_x - 1, D1^2 v = k D1 v and d/dx D1^2 v =
+        M_x (k^2 + R R_xx), so Q_x is exact.  Q_z uses the Vega-Gamma identity
+        v_z = tau rms rms' D1 v and takes d/dz D1^2 v = k^2 v_z: exact for a
+        power, where k is constant, and elsewhere an approximation that, since
+        Q_z only multiplies Brownian increments, moves the CV's variance alone.
+        """
+        if coefs is None:
+            coefs = self.q_coefficients(t, z, self.averages.table(z))
+        a, b, c, rms = coefs
+        p = self._surface(t, x, z, order=4, rms=rms, table=True)
+        k = p["r_x"] - 1.0
+        k2 = k * k
+        q_x = p["m_x"] * (1.0 + a * (k2 + p["r"] * p["r_xx"]))
+        q_z = p["r"] * p["m_x"] * (c * (1.0 + a * k2) + b * k)
         return q_x, q_z

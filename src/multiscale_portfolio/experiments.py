@@ -371,12 +371,14 @@ def build_model(cfg: RunConfig, epsilon: float, delta: float) -> MarketModel:
     )
 
 
-def build_bundle(cfg: RunConfig, model: MarketModel, averages=None) -> ExpansionBundle:
-    """Expansion bundle whose factor table covers every z the slow factor reaches."""
-    if averages is None:
-        lo, hi = slow_factor_range(model.slow_drift, model.slow_vol, cfg.z0,
-                                   max(cfg.deltas) * cfg.horizon)
-        averages = averaged_sharpe(model, z_grid=z_cache_grid(0.5 * (lo + hi), 0.5 * (hi - lo)))
+def build_bundle(cfg: RunConfig, model: MarketModel, previous=None) -> ExpansionBundle:
+    """Expansion bundle whose factor table covers every z the slow factor reaches;
+    it shares the scale-free tables of ``previous``, this config's at another point."""
+    if previous is not None:
+        return previous.for_model(model)
+    lo, hi = slow_factor_range(model.slow_drift, model.slow_vol, cfg.z0,
+                               max(cfg.deltas) * cfg.horizon)
+    averages = averaged_sharpe(model, z_grid=z_cache_grid(0.5 * (lo + hi), 0.5 * (hi - lo)))
     return ExpansionBundle(model, averages, build_utility(cfg), cfg.horizon)
 
 
@@ -510,11 +512,10 @@ def residual_order_study(cfg: RunConfig) -> ResidualStudy:
     if len(cfg.epsilons) < 3:
         raise ValueError("residual study needs at least three grid points")
     rows = []
-    averages = None
+    bundle = None
     for eps, delta in zip(cfg.epsilons, cfg.deltas):
         model = build_model(cfg, eps, delta)
-        bundle = build_bundle(cfg, model, averages=averages)
-        averages = bundle.averages  # scale-free; reuse across the grid
+        bundle = build_bundle(cfg, model, previous=bundle)  # scale-free tables: one build
         sim_cfg = sim_config_for(cfg, model)
         est = estimate_value(model, ZerothOrder(bundle), bundle, sim_cfg)
         v0 = float(bundle.leading_order(0.0, cfg.x0, cfg.z0))
@@ -551,12 +552,11 @@ def residual_order_study(cfg: RunConfig) -> ResidualStudy:
 def optimality_study(cfg: RunConfig) -> OptimalityStudy:
     """Normalized value gap of challengers against the zeroth-order strategy."""
     rows = []
-    averages = None
+    bundle = None
     gaps_by_challenger: dict[str, list] = {}
     for eps, delta in zip(cfg.epsilons, cfg.deltas):
         model = build_model(cfg, eps, delta)
-        bundle = build_bundle(cfg, model, averages=averages)
-        averages = bundle.averages
+        bundle = build_bundle(cfg, model, previous=bundle)
         sim_cfg = sim_config_for(cfg, model)
         roster = build_challengers(cfg, model, bundle)
         ensembles = run_ensembles(model, roster, bundle, sim_cfg)

@@ -9,6 +9,8 @@ R = -M_x/M_xx.  Three solution methods:
 
 ``closed_form_power``
     Exact for a pure power utility: M(t, x) = U(x) exp(lam^2 g (T-t) / (2(1-g))).
+    The whole order-4 pack comes from one power of x, M_x = U'(x) exp(...):
+    M = x M_x / g and d^(j+1)M/dx^(j+1) = (g - j)/x d^jM/dx^j.
 
 ``dual_quadrature``
     Convex-duality method for any admissible utility.  The conjugate
@@ -94,21 +96,26 @@ class _DualCore:
     def _factors(self, lam, tau):
         # exp(-lam^2 tau / 2 + lam sqrt(tau) s_i), broadcast over leading dims
         lam = np.asarray(lam, dtype=float)[..., None]
-        ef = np.exp(-0.5 * lam**2 * tau + lam * np.sqrt(tau) * self.nodes)
-        return ef
+        return np.exp(-0.5 * lam**2 * tau + lam * np.sqrt(tau) * self.nodes)
 
     def _expect(self, a):
         # Gauss-Hermite sum over the last axis, one point at a time: a BLAS
         # matvec's rounding depends on the other rows of its batch
         return np.sum(a * self.weights, axis=-1)
 
-    def derivs(self, lam, tau, y, order: int = 2):
-        """Dual value Vt and y-derivatives up to `order` (max 4) at array y."""
-        u = self.utility
+    def _quadrature(self, lam, tau, y):
+        """The factors e_i, the points y e_i and the inverse marginal I(y e_i)."""
         ef = self._factors(lam, tau)
         ye = np.asarray(y, dtype=float)[..., None] * ef
-        x = u.inverse_marginal(ye)
-        out = [self._expect(u.u(x) - ye * x)]
+        return ef, ye, self.utility.inverse_marginal(ye)
+
+    def derivs(self, lam, tau, y, order: int = 2, value: bool = True, nodes=None):
+        """Dual value Vt (None unless ``value``) and y-derivatives up to `order`
+        (max 4) at array y; ``nodes`` is ``_quadrature(lam, tau, y)`` when the
+        caller already holds it."""
+        u = self.utility
+        ef, ye, x = self._quadrature(lam, tau, y) if nodes is None else nodes
+        out = [self._expect(u.u(x) - ye * x) if value else None]
         if order >= 1:
             out.append(-self._expect(x * ef))
         if order >= 2:
@@ -128,7 +135,8 @@ class _DualCore:
     def marginal_value(self, lam, tau, x):
         """Solve x = -Vt_y(t, y) for y = M_x(t, x); Newton in log y, each point
         stopping at its own convergence, so a point's bits never depend on
-        the other points in the batch."""
+        the other points in the batch.  Returns y and, one row per point, the
+        inverse marginal I(y e_i) of the iterate that converged."""
         u = self.utility
         x = np.asarray(x, dtype=float)
         lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), x.shape).reshape(-1)
@@ -137,11 +145,14 @@ class _DualCore:
         ae = u.asymptotic_elasticity
         v = np.log(u.du(x, 1)).reshape(-1) + 0.5 * lam_arr**2 * tau * ae / (1.0 - ae)
         todo = np.arange(v.size)
+        inverse = np.empty((v.size, self.nodes.size))
         for _ in range(80):
             y = np.exp(v[todo])
-            _, vy, vyy = self.derivs(lam_arr[todo], tau, y, order=2)
+            nodes = self._quadrature(lam_arr[todo], tau, y)
+            _, vy, vyy = self.derivs(lam_arr[todo], tau, y, order=2, value=False, nodes=nodes)
             resid = np.log(-vy) - logx[todo]
             live = np.abs(resid) > 1e-14
+            inverse[todo[~live]] = nodes[2][~live]
             if not live.any():
                 break
             todo, y, vy, vyy, resid = todo[live], y[live], vy[live], vyy[live], resid[live]
@@ -152,7 +163,7 @@ class _DualCore:
             raise RuntimeError(
                 f"dual first-order condition did not converge (max residual {worst:.3e})"
             )
-        return np.exp(v).reshape(x.shape)
+        return np.exp(v).reshape(x.shape), inverse
 
     def evaluate(self, lam, tau, x, order: int = 2) -> dict:
         """Primal surface at (tau, x) with per-point Sharpe ratio lam.
@@ -164,8 +175,9 @@ class _DualCore:
         shape = x.shape
         x = x.reshape(-1)  # a scalar takes the array path too, and gets its bits
         lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), shape).reshape(-1)
-        ystar = self.marginal_value(lam_arr, tau, x)
-        d = self.derivs(lam_arr, tau, ystar, order=order)
+        ystar, inverse = self.marginal_value(lam_arr, tau, x)
+        ef = self._factors(lam_arr, tau)  # the Newton's own nodes at y*: no second inversion
+        d = self.derivs(lam_arr, tau, ystar, order=order, nodes=(ef, ystar[:, None] * ef, inverse))
         vt, vy, vyy = d[0], d[1], d[2]
         out = {
             "m": vt + x * ystar,
@@ -361,33 +373,27 @@ def merton_pack(utility: UtilitySpec, lam, tau: float, x, order: int = 2,
     The pack holds m, m_x, m_xx and r; order >= 3 adds r_x and m_x3, order
     >= 4 adds r_xx and m_x4.  It is U itself at tau = 0, the dual quadrature
     of ``dual`` when one is given (a :class:`MertonTable` serves its own
-    pack, without m, m_x3 and m_x4), and the power closed form otherwise.
+    pack, without m, m_x3 and m_x4), and the power closed form otherwise,
+    whose r_x and r_xx are scalars.
     """
     u = utility
     x = np.asarray(x, dtype=float)
     if tau > 0.0 and dual is not None:
         return dual.evaluate(lam, tau, x, order=max(order, 2))
-    if tau > 0.0:  # M = U exp(lam^2 g tau / (2(1-g))), R = x/(1-g)
+    if tau > 0.0:  # M = U exp(lam^2 g tau / (2(1-g))), R = x/(1-g): one power of x
         g = u.gamma
-        growth = np.exp(0.5 * lam**2 * g / (1.0 - g) * tau)
-
-        def r(x):
-            return x / (1.0 - g)
-
-        def r_x(x):
-            return np.full(x.shape, 1.0 / (1.0 - g))
-
-        def r_xx(x):
-            return np.zeros(x.shape)
-    else:
-        growth = 1.0
-        r, r_x, r_xx = u.risk_tolerance, u.risk_tolerance_x, u.risk_tolerance_xx
-    out = {"m": u.u(x) * growth, "m_x": u.du(x, 1) * growth,
-           "m_xx": u.du(x, 2) * growth, "r": r(x)}
+        m_x = u.du(x, 1) * np.exp(0.5 * lam**2 * g / (1.0 - g) * tau)
+        out = {"m": x * m_x / g, "m_x": m_x, "m_xx": m_x * (g - 1.0) / x, "r": x / (1.0 - g)}
+        if order >= 3:
+            out["r_x"], out["m_x3"] = 1.0 / (1.0 - g), out["m_xx"] * (g - 2.0) / x
+        if order >= 4:
+            out["r_xx"], out["m_x4"] = 0.0, out["m_x3"] * (g - 3.0) / x
+        return out
+    out = {"m": u.u(x), "m_x": u.du(x, 1), "m_xx": u.du(x, 2), "r": u.risk_tolerance(x)}
     if order >= 3:
-        out["r_x"], out["m_x3"] = r_x(x), u.du(x, 3) * growth
+        out["r_x"], out["m_x3"] = u.risk_tolerance_x(x), u.du(x, 3)
     if order >= 4:
-        out["r_xx"], out["m_x4"] = r_xx(x), u.du(x, 4) * growth
+        out["r_xx"], out["m_x4"] = u.risk_tolerance_xx(x), u.du(x, 4)
     return out
 
 
@@ -472,9 +478,6 @@ class MertonSolution:
 
     def value(self, t, x):
         return self.surface(t, x, order=2)["m"]
-
-    def value_x(self, t, x):
-        return self.surface(t, x, order=2)["m_x"]
 
     def value_xx(self, t, x):
         return self.surface(t, x, order=2)["m_xx"]

@@ -329,8 +329,9 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
         sig = model.sigma(y, z)
         mu = lam * sig
         gz = model.slow_vol(z)
-        # one factor table per step, shared by every strategy's CV gradients
+        # one factor table and one set of CV coefficients per step, for every strategy
         tab = bundle.averages.table(z) if cfg.control_variate else None
+        coefs = bundle.q_coefficients(t, z, tab) if cfg.control_variate else None
         if tabulated:
             rms = tab[0] if tab is not None else bundle.averages.sharpe_rms(z)
 
@@ -344,7 +345,7 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
                 res.exact[k] += bundle.exact_surface_points(t, x_live, rms)
 
             if cfg.control_variate:
-                qx, qz = bundle.q_gradients(t, x_live, z, row=tab)
+                qx, qz = bundle.q_gradients(t, x_live, z, coefs)
                 res.cv[k] += np.where(alive, qx * pi * sig * dw + qz * sqrt_delta * gz * dwz, 0.0)
 
             if collect_drag:

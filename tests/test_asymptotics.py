@@ -210,9 +210,19 @@ def test_q_gradients_with_a_masked_shared_row_are_exact(utility):
     x = np.exp(rng.normal(0.0, 0.3, 64))
     alive = rng.random(64) < 0.7
     row = cached.averages.table(z)[:, alive]
-    shared = cached.q_gradients(0.3, x[alive], z[alive], row=row)
+    shared = cached.q_gradients(0.3, x[alive], z[alive],
+                                cached.q_coefficients(0.3, z[alive], row))
     own = cached.q_gradients(0.3, x[alive], z[alive])
     assert all(np.array_equal(s, o) for s, o in zip(shared, own))
+    # one set of coefficients per step serves every strategy's wealth, masked or not
+    step = cached.q_coefficients(0.3, z, cached.averages.table(z))
+    masked = tuple(c[alive] for c in step)
+    assert all(np.array_equal(s, o) for s, o in
+               zip(cached.q_gradients(0.3, x[alive], z[alive], masked), own))
+    for wealth in (x, 0.5 * x, np.where(alive, x, 1.0)):
+        shared = cached.q_gradients(0.3, wealth, z, step)
+        own = cached.q_gradients(0.3, wealth, z)
+        assert all(np.array_equal(s, o) for s, o in zip(shared, own))
 
 
 def test_mixture_bundle_leading_order_matches_direct_solve():

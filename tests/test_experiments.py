@@ -438,3 +438,22 @@ def test_mixture_residual_study_reduced_scale(mixture_cfg):
                                          deltas=(0.4, 0.2, 0.1)))
     assert study.verdict == "PASS"
     assert all(r["resolved"] for r in study.rows)
+
+
+@pytest.mark.parametrize("study", [residual_order_study, optimality_study])
+def test_a_mixture_study_builds_one_merton_table(monkeypatch, mixture_cfg, study):
+    # the table depends on the utility, the horizon and the factor averages,
+    # none of which moves along the (eps, delta) grid
+    from multiscale_portfolio import asymptotics
+
+    builds = []
+    real = asymptotics.MertonTable
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(asymptotics, "MertonTable", counting)
+    study(replace(mixture_cfg, epsilons=(0.4, 0.2, 0.1), deltas=(0.4, 0.2, 0.1),
+                  n_paths=32, chunk_size=32))
+    assert len(builds) == 1

@@ -214,6 +214,53 @@ def test_dual_evaluate_is_pointwise():
     assert all(np.array_equal(half[k], batch[k][::2]) for k in batch)
 
 
+def test_dual_evaluate_reuses_the_newton_nodes(monkeypatch):
+    # the pack comes from the inverse-marginal nodes of each point's converged
+    # iterate, bit for bit what derivs gives afresh at the returned y*, and
+    # the only inversions are the Newton iterations' own
+    dual = _DualCore(MIXTURE)
+    x = np.array([1e-6, 0.3, 1.0, 2.0, 50.0, 1e6])
+    lam = np.array([0.2, 1.1, 0.0, 0.5, 0.9, 0.4])
+    calls = {"inverse": 0, "newton": 0}
+    inverse, derivs = type(MIXTURE).inverse_marginal, _DualCore.derivs
+
+    def counted_inverse(self, y):
+        calls["inverse"] += 1
+        return inverse(self, y)
+
+    def counted_derivs(self, *args, **kwargs):
+        calls["newton"] += kwargs.get("value") is False
+        return derivs(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(MIXTURE), "inverse_marginal", counted_inverse)
+    monkeypatch.setattr(_DualCore, "derivs", counted_derivs)
+    pack = dual.evaluate(lam, 0.6, x, order=4)
+    assert calls["inverse"] == calls["newton"] > 0
+    y = pack["m_x"]
+    vt, vy, vyy, vyyy, vyyyy = dual.derivs(lam, 0.6, y, order=4)
+    assert np.array_equal(pack["m"], vt + x * y)
+    assert np.array_equal(pack["m_xx"], -1.0 / vyy)
+    assert np.array_equal(pack["r"], y * vyy)
+    assert np.array_equal(pack["r_x"], -1.0 - y * vyyy / vyy)
+    assert np.array_equal(pack["m_x3"], -vyyy / vyy**3)
+    assert np.array_equal(pack["m_x4"], vyyyy / vyy**4 - 3.0 * vyyy**2 / vyy**5)
+    assert np.array_equal(pack["r_xx"],
+                          (vyyy / vyy + y * (vyyyy * vyy - vyyy**2) / vyy**2) / vyy)
+
+
+def test_power_pack_from_one_power_matches_the_utility():
+    x = np.logspace(-6, 6, 241)
+    for gamma, lam, tau in ((0.5, 0.8, 0.7), (0.1, 1.3, 1.0), (0.9, 0.3, 0.2)):
+        u = make_utility("power", gamma=gamma)
+        growth = np.exp(0.5 * lam**2 * gamma / (1.0 - gamma) * tau)
+        pack = merton_pack(u, lam, tau, x, order=4)
+        assert np.max(np.abs(pack["m"] / (u.u(x) * growth) - 1.0)) <= 1e-13
+        for k, key in enumerate(("m_x", "m_xx", "m_x3", "m_x4"), start=1):
+            assert np.max(np.abs(pack[key] / (u.du(x, k) * growth) - 1.0)) <= 1e-13, key
+        assert np.array_equal(pack["r"], x / (1.0 - gamma))
+        assert pack["r_x"] == 1.0 / (1.0 - gamma) and pack["r_xx"] == 0.0
+
+
 @pytest.fixture(scope="module")
 def mixture_table():
     return MertonTable(_DualCore(MIXTURE), 2.5)

@@ -388,3 +388,24 @@ def test_mixture_table_is_built_once_under_workers(monkeypatch):
         sys.setswitchinterval(interval)
     assert len(builds) == 2
     assert runs[0].tobytes() == runs[1].tobytes() and np.any(runs[0] != 0.0)
+
+
+@pytest.mark.parametrize("n_strat", [1, 3])
+def test_cv_coefficients_are_computed_once_per_step_per_chunk(monkeypatch, n_strat):
+    # the z-only coefficients of the CV gradients are shared by the whole
+    # roster: their count follows steps and chunks, never the roster size
+    calls = []
+    real = ExpansionBundle.q_coefficients
+
+    def counted(self, t, z, row):
+        calls.append(t)
+        return real(self, t, z, row)
+
+    monkeypatch.setattr(ExpansionBundle, "q_coefficients", counted)
+    model = constant_model(eps=0.4, delta=0.4)
+    b = bundle_for(model)
+    base = ZerothOrder(b)
+    roster = [base, Scaled(base, 0.5), AllCash()][:n_strat]
+    cfg = cfg_for(model, n_paths=64, chunk_size=16, workers=2)
+    run_ensembles(model, roster, b, cfg)
+    assert len(calls) == cfg.n_steps * 4
