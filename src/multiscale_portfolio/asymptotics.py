@@ -25,7 +25,6 @@ the local Sharpe-to-vol ratio sized by the averaged risk tolerance.
 from __future__ import annotations
 
 import copy
-import threading
 
 import numpy as np
 
@@ -57,7 +56,6 @@ class ExpansionBundle:
         self.horizon = float(horizon)
         self._dual = None if utility.is_power else _DualCore(utility, n_nodes=n_quad)
         self._table = None
-        self._table_lock = threading.Lock()
 
     def for_model(self, model: MarketModel) -> ExpansionBundle:
         """This bundle under another model with the same factor averages, sharing
@@ -71,13 +69,11 @@ class ExpansionBundle:
     def merton_table(self) -> MertonTable | None:
         """The engine's Merton surface: None for a pure power, else a table
         whose s-range covers lam = sharpe_rms anywhere on the z-grid at any
-        t, built once (under a lock, so concurrent chunks never race)."""
+        t, built once (the engine builds it before forking its chunk processes)."""
         if self._dual is not None and self._table is None:
-            with self._table_lock:
-                if self._table is None:
-                    rms = self.averages.table(self.averages.z_grid, slopes=False)[0]
-                    s_max = float(np.max(rms))**2 * self.horizon
-                    self._table = MertonTable(self._dual, s_max or 1.0)  # any box holds s = 0
+            rms = self.averages.table(self.averages.z_grid, slopes=False)[0]
+            s_max = float(np.max(rms))**2 * self.horizon
+            self._table = MertonTable(self._dual, s_max or 1.0)  # any box holds s = 0
         return self._table
 
     def _surface(self, t, x, z, order=2, rms=None, table=False):

@@ -26,8 +26,10 @@ typo can never silently fall back to a default.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
+import time
 from dataclasses import dataclass, field, make_dataclass, replace
 from pathlib import Path
 
@@ -57,6 +59,7 @@ from .simulate import (
     default_fast_bump,
     default_slow_bump,
     dt_for,
+    engine_processes,
     estimate_value,
     mismatch_drag_diagnostic,
     run_ensembles,
@@ -80,6 +83,8 @@ __all__ = [
     "ExperimentReport",
     "run_cli",
 ]
+
+logger = logging.getLogger(__name__)
 
 OUTPUT_DIR_ENV = "MSPORT_OUTPUT_DIR"
 
@@ -507,6 +512,16 @@ class ExperimentReport:
         return any(v == "UNRESOLVED" for v in self.verdicts().values())
 
 
+def _log_point(eps, delta, sim_cfg: SimConfig, n_strategies: int, seconds: float) -> None:
+    path_steps = n_strategies * sim_cfg.n_paths * sim_cfg.n_steps
+    logger.info(
+        "eps %g, delta %g: %d paths x %d steps x %d strategies on %d process(es), "
+        "engine %.3f s, %.3g path-steps/s",
+        eps, delta, sim_cfg.n_paths, sim_cfg.n_steps, n_strategies,
+        engine_processes(sim_cfg), seconds, path_steps / seconds,
+    )
+
+
 def residual_order_study(cfg: RunConfig) -> ResidualStudy:
     """Residual of the first-order value approximation along the scale grid."""
     if len(cfg.epsilons) < 3:
@@ -517,7 +532,9 @@ def residual_order_study(cfg: RunConfig) -> ResidualStudy:
         model = build_model(cfg, eps, delta)
         bundle = build_bundle(cfg, model, previous=bundle)  # scale-free tables: one build
         sim_cfg = sim_config_for(cfg, model)
+        start = time.perf_counter()
         est = estimate_value(model, ZerothOrder(bundle), bundle, sim_cfg)
+        _log_point(eps, delta, sim_cfg, 1, time.perf_counter() - start)
         v0 = float(bundle.leading_order(0.0, cfg.x0, cfg.z0))
         q = float(bundle.first_order_value(0.0, cfg.x0, cfg.z0))
         residual = est.mean - q
@@ -559,7 +576,9 @@ def optimality_study(cfg: RunConfig) -> OptimalityStudy:
         bundle = build_bundle(cfg, model, previous=bundle)
         sim_cfg = sim_config_for(cfg, model)
         roster = build_challengers(cfg, model, bundle)
+        start = time.perf_counter()
         ensembles = run_ensembles(model, roster, bundle, sim_cfg)
+        _log_point(eps, delta, sim_cfg, len(roster), time.perf_counter() - start)
         base = ensembles[0]
         norm = math.sqrt(eps) + math.sqrt(delta)
         base_stat = base.utility_terminal - base.control_variate

@@ -14,6 +14,15 @@ fixed-size chunks; each chunk owns a counter-based Philox substream keyed by
 (master seed, chunk index) and partial results are combined in chunk order,
 so ensembles are bit-identical for any worker count.
 
+With ``workers > 1`` and more than one chunk, the chunks run on a pool of
+``min(workers, chunks, cpu_count)`` processes forked from the caller: each
+step is many small numpy calls that hold the GIL, so threads cannot overlap
+them.  The children inherit the job (model, strategies, bundle, config)
+through the fork, because the model's registry closures and the strategies'
+bumps cannot be pickled; only chunk indices go out and chunk results come
+back.  The caller builds any Merton table before forking, so no child builds
+its own.  With one worker or one chunk no process starts.
+
 Variance reduction: antithetic pairing within chunks, and an optional
 martingale control variate accumulating the Ito martingale part of the
 first-order value approximation Q along each path,
@@ -32,9 +41,11 @@ every increment nonpositive; the verdicts are exact sign tests.
 
 from __future__ import annotations
 
+import concurrent.futures
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +68,7 @@ __all__ = [
     "simulate_paths",
     "estimate_value",
     "run_ensembles",
+    "engine_processes",
     "bump_drag_diagnostic",
     "mismatch_drag_diagnostic",
     "wealth_step",
@@ -194,6 +206,11 @@ class SimConfig:
             raise ValueError("initial wealth must be nonnegative")
         if self.chunk_size < 1 or self.workers < 1:
             raise ValueError("chunk_size and workers must be positive")
+        if self.workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+            raise ValueError(
+                f"workers = {self.workers} runs chunks on forked processes, and this "
+                "platform cannot fork; set workers = 1"
+            )
 
     @property
     def n_steps(self) -> int:
@@ -381,33 +398,58 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
     return res
 
 
+def engine_processes(cfg: SimConfig) -> int:
+    """How many processes simulate a run's chunks: min(workers, chunks,
+    cpu_count); 1 means the calling process, with no pool."""
+    n_chunks = len(_chunk_bounds(cfg.n_paths, cfg.chunk_size))
+    return min(cfg.workers, n_chunks, os.cpu_count() or 1)
+
+
+def _run_chunk(job, idx):
+    model, strategies, bundle, cfg, collect_drag = job
+    a, b = _chunk_bounds(cfg.n_paths, cfg.chunk_size)[idx]
+    return _simulate_chunk(model, strategies, bundle, cfg, idx, b - a, collect_drag)
+
+
+_forked_job = None  # set by _adopt_job in each pool child, never in the caller
+
+
+def _adopt_job(*job):
+    global _forked_job
+    _forked_job = job
+
+
+def _run_forked_chunk(idx):
+    return _run_chunk(_forked_job, idx)
+
+
 def run_ensembles(model: MarketModel, strategies: list[Strategy],
                   bundle: ExpansionBundle, cfg: SimConfig,
                   collect_drag: bool = False) -> list[PathEnsemble]:
     """Simulate several strategies on shared noise (common random numbers).
 
     Results come back in roster order.  Identical (model, cfg, strategies)
-    produce bit-identical ensembles for any worker count.
+    produce bit-identical ensembles for any worker count.  Every pool child
+    is joined before this returns or raises; a chunk's exception reaches the
+    caller with its own type.
     """
     _validate_step(model, cfg)
-    n_strat = len(strategies)
     bounds = _chunk_bounds(cfg.n_paths, cfg.chunk_size)
     if cfg.antithetic and any((b - a) % 2 for a, b in bounds):
         raise ValueError("antithetic pairing requires even chunk lengths")
 
-    results: list[_ChunkResult | None] = [None] * len(bounds)
-
-    def work(idx):
-        a, b = bounds[idx]
-        return idx, _simulate_chunk(model, strategies, bundle, cfg, idx, b - a, collect_drag)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for idx, res in pool.map(work, range(len(bounds))):
-                results[idx] = res
+    job = (model, strategies, bundle, cfg, collect_drag)
+    n_proc = engine_processes(cfg)
+    if n_proc == 1:
+        results = [_run_chunk(job, idx) for idx in range(len(bounds))]
     else:
-        for idx in range(len(bounds)):
-            results[idx] = work(idx)[1]
+        bundle.merton_table()  # built once here and inherited by every child
+        # concurrent.futures imports its process module on this first use, so
+        # one-process runs never load it
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=n_proc, mp_context=multiprocessing.get_context("fork"),
+                initializer=_adopt_job, initargs=job) as pool:
+            results = list(pool.map(_run_forked_chunk, range(len(bounds))))
 
     ensembles = []
     n_steps = cfg.n_steps

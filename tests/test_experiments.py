@@ -1,6 +1,8 @@
 """Harness: strict config parsing, slope fits, studies, reports, CLI."""
 
 import json
+import logging
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -191,6 +193,25 @@ def test_optimality_study_small(small_cfg):
     assert study.verdict == "PASS"
 
 
+@pytest.mark.parametrize("study, workers", [(residual_order_study, 1), (optimality_study, 2)])
+def test_studies_log_each_grid_point(caplog, small_cfg, study, workers):
+    grid = (0.4, 0.2, 0.1)
+    cfg = replace(small_cfg, epsilons=grid, deltas=grid, n_paths=128, chunk_size=64,
+                  workers=workers)
+    with caplog.at_level(logging.INFO, logger="multiscale_portfolio.experiments"):
+        study(cfg)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "multiscale_portfolio.experiments"]
+    n_strat = 1 if study is residual_order_study else 3
+    processes = min(workers, 2, os.cpu_count() or 1)  # two chunks
+    assert len(lines) == len(grid)
+    for eps, line in zip(grid, lines):
+        steps = round(20 / eps)
+        assert line.startswith(f"eps {eps:g}, delta {eps:g}: 128 paths x {steps} steps x "
+                               f"{n_strat} strategies on {processes} process(es), engine ")
+        assert line.endswith(" path-steps/s")
+
+
 def test_invariant_suite_all_pass(small_cfg):
     rows = invariant_suite(small_cfg)
     assert len(rows) >= 20
@@ -270,6 +291,22 @@ def test_cli_rejects_bad_sim_settings(tmp_path, capsys, setting, flags):
     code = run_cli(["residual-study", "--config", str(bad), "--out", str(tmp_path)] + flags)
     assert code == 2
     assert "config error: bad [sim] settings" in capsys.readouterr().out
+
+
+def test_workers_without_fork_are_a_config_error(tmp_path, capsys, monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert load_run_config("default").workers == 1
+    two = tmp_path / "two.cfg"
+    two.write_text(DEFAULT_CONFIG_TEXT.replace("workers = 1", "workers = 2"))
+    with pytest.raises(ConfigError, match="cannot fork"):
+        load_run_config(two)
+    code = run_cli(["residual-study", "--config", "default", "--out", str(tmp_path),
+                    "--workers", "2"])
+    assert code == 2
+    assert "config error: bad [sim] settings: workers = 2 runs chunks on forked " \
+           "processes, and this platform cannot fork" in capsys.readouterr().out
 
 
 def test_cli_rejects_an_unbounded_slow_factor(tmp_path, capsys):

@@ -1,13 +1,15 @@
 """Monte Carlo engine: discretization, determinism, estimators, sign tests."""
 
+import concurrent.futures
 import math
-import sys
+import multiprocessing
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from multiscale_portfolio import simulate
 from multiscale_portfolio.asymptotics import ExpansionBundle
 from multiscale_portfolio.factors import (
     MarketModel,
@@ -28,6 +30,7 @@ from multiscale_portfolio.simulate import (
     default_fast_bump,
     default_slow_bump,
     dt_for,
+    engine_processes,
     estimate_value,
     mismatch_drag_diagnostic,
     run_ensembles,
@@ -367,38 +370,38 @@ class HalfWealth(Strategy):
 def test_mixture_table_is_built_once_under_workers(monkeypatch):
     from multiscale_portfolio import asymptotics
 
-    builds = []
+    builds = multiprocessing.Value("i", 0)  # shared, so a child's build would count
     real = asymptotics.MertonTable
 
     def counting(*args):
-        builds.append(args)
+        with builds.get_lock():
+            builds.value += 1
         return real(*args)
 
     monkeypatch.setattr(asymptotics, "MertonTable", counting)
     model = constant_model(eps=0.4, delta=0.4)
     runs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # eight chunks on four threads all reach the build at once
-    try:
-        for workers in (1, 4):
-            b = bundle_for(model, MIXTURE)  # HalfWealth builds nothing: the CV's first step does
-            cfg = cfg_for(model, n_paths=128, chunk_size=16, workers=workers)
-            runs.append(run_ensembles(model, [HalfWealth()], b, cfg)[0].control_variate)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(builds) == 2
+    for workers in (1, 4):
+        # HalfWealth builds nothing: in-process the CV's first step does, and
+        # under a pool the caller does before forking, so no child builds one
+        b = bundle_for(model, MIXTURE)
+        cfg = cfg_for(model, n_paths=128, chunk_size=16, workers=workers)
+        runs.append(run_ensembles(model, [HalfWealth()], b, cfg)[0].control_variate)
+    assert builds.value == 2
     assert runs[0].tobytes() == runs[1].tobytes() and np.any(runs[0] != 0.0)
 
 
 @pytest.mark.parametrize("n_strat", [1, 3])
 def test_cv_coefficients_are_computed_once_per_step_per_chunk(monkeypatch, n_strat):
     # the z-only coefficients of the CV gradients are shared by the whole
-    # roster: their count follows steps and chunks, never the roster size
-    calls = []
+    # roster: their count follows steps and chunks, never the roster size.
+    # The chunks run in forked children, so the count lives in shared memory.
+    calls = multiprocessing.Value("i", 0)
     real = ExpansionBundle.q_coefficients
 
     def counted(self, t, z, row):
-        calls.append(t)
+        with calls.get_lock():
+            calls.value += 1
         return real(self, t, z, row)
 
     monkeypatch.setattr(ExpansionBundle, "q_coefficients", counted)
@@ -408,4 +411,103 @@ def test_cv_coefficients_are_computed_once_per_step_per_chunk(monkeypatch, n_str
     roster = [base, Scaled(base, 0.5), AllCash()][:n_strat]
     cfg = cfg_for(model, n_paths=64, chunk_size=16, workers=2)
     run_ensembles(model, roster, b, cfg)
-    assert len(calls) == cfg.n_steps * 4
+    assert calls.value == cfg.n_steps * 4
+
+
+# -- the chunk pool --------------------------------------------------------------
+
+
+class ChunkFailure(RuntimeError):
+    pass
+
+
+class Failing(Strategy):
+    """Raises inside the chunk, as a strategy bug would."""
+
+    def position(self, t, x, y, z):
+        raise ChunkFailure("position failed")
+
+
+def test_pool_leaves_no_child_process_on_success_or_failure():
+    model = constant_model(eps=0.4, delta=0.4)
+    b = bundle_for(model)
+    cfg = cfg_for(model, n_paths=64, chunk_size=16, workers=2)
+    run_ensembles(model, [ZerothOrder(b)], b, cfg)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChunkFailure, match="position failed"):
+        run_ensembles(model, [Failing()], b, cfg)
+    assert multiprocessing.active_children() == []
+
+
+class RecordingPool:
+    """Stand-in executor: records its size and runs the chunks in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.sizes.append(max_workers)
+        self.job = initargs
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, indices):
+        return [simulate._run_chunk(self.job, idx) for idx in indices]
+
+
+class ForbiddenPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a one-process run started a pool")
+
+
+@pytest.mark.parametrize("workers, n_paths", [(1, 64), (4, 16)], ids=["one_worker", "one_chunk"])
+def test_serial_runs_start_no_process(monkeypatch, workers, n_paths):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForbiddenPool)
+    model = constant_model(eps=0.4, delta=0.4)
+    b = bundle_for(model)
+    cfg = cfg_for(model, n_paths=n_paths, chunk_size=16, workers=workers)
+    assert engine_processes(cfg) == 1
+    run_ensembles(model, [ZerothOrder(b)], b, cfg)
+
+
+@pytest.mark.parametrize("workers, cpus, expected", [
+    (2, 8, 2),    # the workers
+    (16, 64, 4),  # the chunks
+    (16, 3, 3),   # the cores
+])
+def test_pool_size_is_the_least_of_workers_chunks_and_cores(monkeypatch, workers, cpus, expected):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+    model = constant_model(eps=0.4, delta=0.4)
+    b = bundle_for(model)
+    cfg = cfg_for(model, n_paths=64, chunk_size=16, workers=workers)
+    pooled = run_ensembles(model, [ZerothOrder(b)], b, cfg)[0]
+    assert RecordingPool.sizes == [expected] and engine_processes(cfg) == expected
+    serial = run_ensembles(model, [ZerothOrder(b)], b, replace(cfg, workers=1))[0]
+    assert pooled.control_variate.tobytes() == serial.control_variate.tobytes()
+
+
+def test_chunk_counters_come_back_from_the_children():
+    # wealth 1e-6 sends every path-step to the dual, so the off-table count,
+    # the drag accumulators and the bump moments are all nonzero
+    model = constant_model(eps=0.4, delta=0.4)
+    b = bundle_for(model, MIXTURE)
+    base = ZerothOrder(b)
+    roster = [base, Perturbed(base, default_fast_bump(0.1), default_slow_bump(0.1, b),
+                              0.25, 0.25, model.epsilon, model.delta), Scaled(base, 0.5)]
+    runs = []
+    for workers in (1, 2):
+        cfg = cfg_for(model, n_paths=32, chunk_size=16, workers=workers)
+        cfg = replace(cfg, x0=1e-6, horizon=0.25)  # 13 steps: every one is a dual solve
+        runs.append(run_ensembles(model, roster, b, cfg, collect_drag=True))
+    for one, two in zip(*runs):
+        assert one.surface_exact_points == two.surface_exact_points > 0
+        assert one.drag_max_increment.tobytes() == two.drag_max_increment.tobytes()
+        assert one.drag_active.tobytes() == two.drag_active.tobytes()
+        assert one.bump_moments == two.bump_moments
+    assert runs[1][1].bump_moments["fast_bump"]["order_1"] > 0.0
+
