@@ -34,6 +34,8 @@ from .utility import UtilitySpec
 
 __all__ = ["ExpansionBundle"]
 
+_Z_STEP = 1e-4  # vega_gamma_check's central-difference step in z, relative to max(1, |z|)
+
 
 class ExpansionBundle:
     """Evaluable expansion terms for one (model, utility, horizon) triple.
@@ -47,14 +49,14 @@ class ExpansionBundle:
     """
 
     def __init__(self, model: MarketModel, averages: FactorAverages,
-                 utility: UtilitySpec, horizon: float, n_quad: int = 96):
+                 utility: UtilitySpec, horizon: float):
         if horizon <= 0.0:
             raise ValueError("horizon must be positive")
         self.model = model
         self.averages = averages
         self.utility = utility
         self.horizon = float(horizon)
-        self._dual = None if utility.is_power else _DualCore(utility, n_nodes=n_quad)
+        self._dual = None if utility.is_power else _DualCore(utility)
         self._table = None
 
     def for_model(self, model: MarketModel) -> ExpansionBundle:
@@ -170,16 +172,16 @@ class ExpansionBundle:
         theta = PoissonSolution(self.model, z).value(y)
         return -0.5 * np.asarray(theta) * self.d1(t, x, z)
 
-    def vega_gamma_check(self, t, x, z: float, h_z: float | None = None) -> float:
+    def vega_gamma_check(self, t, x, z: float) -> float:
         """Normalized residual of v_z = tau rms rms' D1 v, with v_z by re-solving.
 
-        The z-difference rebuilds the Merton solution at shifted averaged
-        Sharpe ratios, so this exercises the solver's smoothness in the Sharpe
-        parameter rather than differentiating a cached surface.
+        The z-difference (step _Z_STEP max(1, |z|)) rebuilds the Merton solution
+        at shifted averaged Sharpe ratios, so this exercises the solver's
+        smoothness in the Sharpe parameter rather than differentiating a cached
+        surface.
         """
         tau = self.horizon - t
-        if h_z is None:
-            h_z = 1e-4 * max(1.0, abs(z))
+        h_z = _Z_STEP * max(1.0, abs(z))
         a = self.averages
 
         def v_at(zz):

@@ -30,7 +30,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field, make_dataclass, replace
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,16 +55,15 @@ from .simulate import (
     Scaled,
     SimConfig,
     ZerothOrder,
-    bump_drag_diagnostic,
     default_fast_bump,
     default_slow_bump,
     dt_for,
     engine_processes,
     estimate_value,
-    mismatch_drag_diagnostic,
+    paired_mean_se,
     run_ensembles,
     summarize,
-    _pair_statistics,
+    write_terminal_records,
     _STEP_DIVISOR,
 )
 from .utility import make_utility
@@ -91,6 +90,7 @@ OUTPUT_DIR_ENV = "MSPORT_OUTPUT_DIR"
 RESIDUAL_HEADER = ["epsilon", "delta", "v0", "q", "v_hat", "se", "residual", "resolved"]
 OPTIMALITY_HEADER = ["epsilon", "delta", "challenger", "v_hat", "se", "ell_hat", "ell_se", "verdict"]
 INVARIANT_HEADER = ["name", "measured", "tolerance", "verdict"]
+SIMULATION_HEADER = ["strategy", "mean", "se", "n_paths", "floor_hit_rate", "drag_sign_ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +359,7 @@ def _registry_get(registry, name, params, what):
 
 
 def build_model(cfg: RunConfig, epsilon: float, delta: float) -> MarketModel:
-    g, g1, g2 = _registry_get(SLOW_VOL_REGISTRY, cfg.slow_vol_name, cfg.slow_vol_params, "slow_vol")
+    g, g1 = _registry_get(SLOW_VOL_REGISTRY, cfg.slow_vol_name, cfg.slow_vol_params, "slow_vol")
     return MarketModel(
         sharpe=_registry_get(SHARPE_REGISTRY, cfg.sharpe_name, cfg.sharpe_params, "sharpe"),
         sigma=_registry_get(SIGMA_REGISTRY, cfg.sigma_name, cfg.sigma_params, "sigma"),
@@ -367,7 +367,6 @@ def build_model(cfg: RunConfig, epsilon: float, delta: float) -> MarketModel:
         slow_drift=_registry_get(SLOW_DRIFT_REGISTRY, cfg.slow_drift_name, cfg.slow_drift_params, "slow_drift"),
         slow_vol=g,
         slow_vol_d1=g1,
-        slow_vol_d2=g2,
         rho1=cfg.rho1,
         rho2=cfg.rho2,
         rho12=cfg.rho12,
@@ -401,19 +400,9 @@ def _check_sim(cfg: RunConfig) -> None:
 
 
 def _sim_config(cfg: RunConfig, dt: float) -> SimConfig:
-    return SimConfig(
-        n_paths=cfg.n_paths,
-        horizon=cfg.horizon,
-        dt=dt,
-        x0=cfg.x0,
-        y0=cfg.y0,
-        z0=cfg.z0,
-        seed=cfg.seed,
-        antithetic=cfg.antithetic,
-        control_variate=cfg.control_variate,
-        chunk_size=cfg.chunk_size,
-        workers=cfg.workers,
-    )
+    """``dt`` and the RunConfig fields named like SimConfig's other fields."""
+    return SimConfig(dt=dt, **{f.name: getattr(cfg, f.name) for f in fields(SimConfig)
+                               if f.name != "dt"})
 
 
 def build_challengers(cfg: RunConfig, model: MarketModel,
@@ -522,10 +511,19 @@ def _log_point(eps, delta, sim_cfg: SimConfig, n_strategies: int, seconds: float
     )
 
 
+def _residual_grid_error(cfg: RunConfig) -> str | None:
+    """Why the grid cannot carry a residual slope, or None if it can."""
+    if len(cfg.epsilons) < 3:
+        return "residual study needs at least three grid points"
+    if len({eps + delta for eps, delta in zip(cfg.epsilons, cfg.deltas)}) < 2:
+        return "residual study needs at least two distinct values of eps + delta"
+    return None
+
+
 def residual_order_study(cfg: RunConfig) -> ResidualStudy:
     """Residual of the first-order value approximation along the scale grid."""
-    if len(cfg.epsilons) < 3:
-        raise ValueError("residual study needs at least three grid points")
+    if error := _residual_grid_error(cfg):
+        raise ValueError(error)
     rows = []
     bundle = None
     for eps, delta in zip(cfg.epsilons, cfg.deltas):
@@ -538,18 +536,8 @@ def residual_order_study(cfg: RunConfig) -> ResidualStudy:
         v0 = float(bundle.leading_order(0.0, cfg.x0, cfg.z0))
         q = float(bundle.first_order_value(0.0, cfg.x0, cfg.z0))
         residual = est.mean - q
-        rows.append(
-            {
-                "epsilon": eps,
-                "delta": delta,
-                "v0": v0,
-                "q": q,
-                "v_hat": est.mean,
-                "se": est.se,
-                "residual": residual,
-                "resolved": abs(residual) > 2.0 * est.se,
-            }
-        )
+        rows.append(dict(zip(RESIDUAL_HEADER, (eps, delta, v0, q, est.mean, est.se, residual,
+                                                abs(residual) > 2.0 * est.se))))
     slope, slope_se, _ = fit_loglog_slope(
         [r["epsilon"] + r["delta"] for r in rows],
         [r["residual"] for r in rows],
@@ -585,28 +573,12 @@ def optimality_study(cfg: RunConfig) -> OptimalityStudy:
         for ens in ensembles:
             stat = ens.utility_terminal - ens.control_variate
             est = summarize(ens, sim_cfg.chunk_size, cfg.control_variate)
-            diff = _pair_statistics(stat - base_stat, sim_cfg.antithetic, sim_cfg.chunk_size)
-            finite = np.isfinite(diff)
-            diff = diff[finite]
-            ell = float(np.mean(diff)) / norm
-            ell_se = (
-                float(np.std(diff, ddof=1) / math.sqrt(diff.size)) / norm
-                if diff.size > 1
-                else 0.0
-            )
+            gap, gap_se, _ = paired_mean_se(stat - base_stat, sim_cfg.antithetic,
+                                            sim_cfg.chunk_size)
+            ell, ell_se = gap / norm, gap_se / norm
             verdict = "PASS" if ell <= 2.0 * ell_se else "FAIL"
-            rows.append(
-                {
-                    "epsilon": eps,
-                    "delta": delta,
-                    "challenger": ens.strategy_name,
-                    "v_hat": est.mean,
-                    "se": est.se,
-                    "ell_hat": ell,
-                    "ell_se": ell_se,
-                    "verdict": verdict,
-                }
-            )
+            rows.append(dict(zip(OPTIMALITY_HEADER, (eps, delta, ens.strategy_name, est.mean,
+                                                     est.se, ell, ell_se, verdict))))
             gaps_by_challenger.setdefault(ens.strategy_name, []).append((ell, ell_se))
     verdict = "PASS"
     for gaps in gaps_by_challenger.values():
@@ -898,27 +870,21 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path, terminal_csv: str | None) -> str
     bundle = build_bundle(cfg, model)
     sim_cfg = sim_config_for(cfg, model)
     roster = build_challengers(cfg, model, bundle)
+    ensembles = run_ensembles(model, roster, bundle, sim_cfg, collect_drag=True)
     rows = []
-    for strat, ens in zip(roster, run_ensembles(model, roster, bundle, sim_cfg, collect_drag=True)):
+    for ens in ensembles:
         est = summarize(ens, sim_cfg.chunk_size, cfg.control_variate)
-        drag = (bump_drag_diagnostic(ens) if ens.drag_kind == "bump"
-                else mismatch_drag_diagnostic(ens))
-        rows.append(
-            {
-                "strategy": strat.name, "mean": est.mean, "se": est.se,
-                "n_paths": est.n_paths, "floor_hit_rate": est.floor_hit_rate,
-                "drag_sign_ok": drag.passed,
-            }
-        )
-        if terminal_csv and strat is roster[0]:
-            from .simulate import write_terminal_records
-
-            with open(outdir / terminal_csv, "w") as fh:
-                write_terminal_records(ens, fh)
-    write_csv(outdir / "simulation.csv",
-              ["strategy", "mean", "se", "n_paths", "floor_hit_rate", "drag_sign_ok"],
-              rows)
-    return "PASS" if all(r["drag_sign_ok"] for r in rows) else "FAIL"
+        rows.append(dict(zip(SIMULATION_HEADER, (ens.strategy_name, est.mean, est.se, est.n_paths,
+                                                 est.floor_hit_rate,
+                                                 est.diagnostics["drag_sign_ok"]))))
+    if terminal_csv:
+        with open(outdir / terminal_csv, "w") as fh:
+            write_terminal_records(ensembles[0], fh)
+    write_csv(outdir / "simulation.csv", SIMULATION_HEADER, rows)
+    failing = [r["strategy"] for r in rows if not r["drag_sign_ok"]]
+    if failing:
+        print(f"simulate: drag sign test failed for {', '.join(failing)}")
+    return "FAIL" if failing else "PASS"
 
 
 def run_cli(argv: list[str]) -> int:
@@ -958,6 +924,8 @@ def run_cli(argv: list[str]) -> int:
         if args.paths is not None:
             cfg = replace(cfg, n_paths=args.paths)
         _check_sim(cfg)
+        if args.command in ("residual-study", "all") and (error := _residual_grid_error(cfg)):
+            raise ConfigError(error)
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 2

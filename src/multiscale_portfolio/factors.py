@@ -86,11 +86,11 @@ class OrnsteinUhlenbeckFactor:
     def noise(self, y):
         return np.full(np.shape(y), self.vol * math.sqrt(2.0))
 
-    def stationary_nodes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def stationary_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature nodes/weights integrating against N(mean, vol^2)."""
         if self.vol == 0.0:
             return np.array([self.mean]), np.array([1.0])
-        s, w = gauss_hermite(n)
+        s, w = gauss_hermite()
         return self.mean + self.vol * s, w
 
     def stationary_pdf(self, y):
@@ -109,8 +109,8 @@ class MarketModel:
     """Coefficients, correlations and scales of the two-factor market.
 
     `sharpe` and `sigma` are callables (y, z) -> value supporting numpy
-    broadcasting; `slow_drift` is c(z); `slow_vol`, `slow_vol_d1`,
-    `slow_vol_d2` are g and its first two derivatives.  The model is
+    broadcasting; `slow_drift` is c(z); `slow_vol` and `slow_vol_d1` are g
+    and its derivative.  The model is
     immutable and validated on construction (positive scales, positive
     volatility on a sampled compact, positive-definite correlations).
     """
@@ -121,7 +121,6 @@ class MarketModel:
     slow_drift: Callable = lambda z: np.zeros(np.shape(z))
     slow_vol: Callable = lambda z: np.zeros(np.shape(z))
     slow_vol_d1: Callable = lambda z: np.zeros(np.shape(z))
-    slow_vol_d2: Callable = lambda z: np.zeros(np.shape(z))
     rho1: float = 0.0
     rho2: float = 0.0
     rho12: float = 0.0
@@ -157,9 +156,9 @@ class MarketModel:
         return np.linalg.cholesky(corr)
 
 
-def invariant_average(model: MarketModel, f, z: float, n_quad: int = 96) -> float:
+def invariant_average(model: MarketModel, f, z: float) -> float:
     """<f(., z)> against the fast factor's invariant law (Gauss-Hermite)."""
-    y, w = model.fast.stationary_nodes(n_quad)
+    y, w = model.fast.stationary_nodes()
     vals = np.asarray(f(y, z), dtype=float) * np.ones_like(y)
     if not np.all(np.isfinite(vals)):
         bad = y[~np.isfinite(vals)]
@@ -177,16 +176,16 @@ def invariant_average(model: MarketModel, f, z: float, n_quad: int = 96) -> floa
 class PoissonSolution:
     """Zero-average corrector theta(., z) with L0 theta = lam^2 - <lam^2>."""
 
-    def __init__(self, model: MarketModel, z: float, n_quad: int = 96):
+    def __init__(self, model: MarketModel, z: float):
         fast = model.fast
         self.model = model
         self.z = float(z)
         self.mean_square = invariant_average(
-            model, lambda y, zz: model.sharpe(y, zz) ** 2, z, n_quad
+            model, lambda y, zz: model.sharpe(y, zz) ** 2, z
         )
         if self.mean_square < 0.0:
             raise RuntimeError("quadrature produced a negative mean-square Sharpe ratio")
-        centering = invariant_average(model, self._source, z, n_quad)
+        centering = invariant_average(model, self._source, z)
         if abs(centering) > _CENTERING_TOL * (1.0 + self.mean_square):
             raise RuntimeError(
                 f"corrector source is not centered (residual {centering:.3e})"
@@ -195,7 +194,6 @@ class PoissonSolution:
         width = _GL_WINDOW * fast.vol
         self._lo = fast.mean - width
         self._hi = fast.mean + width
-        self._n_quad = n_quad
         self._offset = None  # lazy zero-average normalization
 
     def _source(self, y, z):
@@ -231,7 +229,7 @@ class PoissonSolution:
         if fast.vol == 0.0:
             return np.zeros(np.shape(y))
         if self._offset is None:
-            nodes, w = fast.stationary_nodes(self._n_quad)
+            nodes, w = fast.stationary_nodes()
             self._offset = -float(w @ self._antiderivative(nodes))
         y_arr = np.atleast_1d(np.asarray(y, dtype=float))
         out = self._antiderivative(y_arr) + self._offset
@@ -248,11 +246,10 @@ class PoissonSolution:
         return half * (grads @ self._gl_w)
 
 
-def fast_coupling(model: MarketModel, z: float, n_quad: int = 96,
-                  poisson: PoissonSolution | None = None) -> float:
+def fast_coupling(model: MarketModel, z: float) -> float:
     """Averaged coupling <lam a theta_y> feeding the fast-scale correction."""
-    sol = poisson if poisson is not None else PoissonSolution(model, z, n_quad)
-    y, w = model.fast.stationary_nodes(n_quad)
+    sol = PoissonSolution(model, z)
+    y, w = model.fast.stationary_nodes()
     vals = model.sharpe(y, z) * model.fast.noise(y) * sol.gradient(y)
     return float(w @ np.asarray(vals, dtype=float))
 
@@ -447,7 +444,6 @@ def _const_slow_vol(p):
     return (
         lambda z: np.full(np.shape(z), g0),
         lambda z: np.zeros(np.shape(z)),
-        lambda z: np.zeros(np.shape(z)),
     )
 
 
@@ -456,8 +452,8 @@ def _affine_slow_vol(p):
     return (
         lambda z: g0 + g1 * np.asarray(z, dtype=float),
         lambda z: np.full(np.shape(z), g1),
-        lambda z: np.zeros(np.shape(z)),
     )
 
 
+# name -> params -> (g, g'): the slow factor's vol and its z-derivative
 SLOW_VOL_REGISTRY = {"const": _const_slow_vol, "affine": _affine_slow_vol}

@@ -51,6 +51,8 @@ Merton operator d/dt + (1/2) lam^2 D_2 + lam^2 D_1 are exposed through
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 from scipy.linalg import solve_banded
@@ -70,15 +72,14 @@ __all__ = [
 
 METHODS = ("closed_form_power", "dual_quadrature", "finite_difference")
 
-_GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+GH_NODES = 96  # Gauss-Hermite nodes of every Gaussian average: the dual's and the fast factor's
 
 
-def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for E[f(Z)], Z standard normal: sum w_i f(s_i)."""
-    if n not in _GH_CACHE:
-        x, w = roots_hermite(n)
-        _GH_CACHE[n] = (np.sqrt(2.0) * x, w / np.sqrt(np.pi))
-    return _GH_CACHE[n]
+@cache
+def gauss_hermite() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights for E[f(Z)], Z standard normal: sum w_i f(s_i), GH_NODES terms."""
+    x, w = roots_hermite(GH_NODES)
+    return np.sqrt(2.0) * x, w / np.sqrt(np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +90,9 @@ def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
 class _DualCore:
     """Gaussian-quadrature evaluation of the dual value and its y-derivatives."""
 
-    def __init__(self, utility: UtilitySpec, n_nodes: int = 96):
+    def __init__(self, utility: UtilitySpec):
         self.utility = utility
-        self.nodes, self.weights = gauss_hermite(n_nodes)
+        self.nodes, self.weights = gauss_hermite()
 
     def _factors(self, lam, tau):
         # exp(-lam^2 tau / 2 + lam sqrt(tau) s_i), broadcast over leading dims
@@ -406,7 +407,7 @@ class MertonSolution:
     """
 
     def __init__(self, utility: UtilitySpec, sharpe: float, horizon: float,
-                 method: str = "auto", n_quad: int = 96):
+                 method: str = "auto"):
         if sharpe < 0.0:
             raise ValueError(f"sharpe ratio must be nonnegative, got {sharpe}")
         if horizon <= 0.0:
@@ -421,7 +422,7 @@ class MertonSolution:
         self.sharpe = float(sharpe)
         self.horizon = float(horizon)
         self.method = method
-        self._dual = _DualCore(utility, n_nodes=n_quad)
+        self._dual = _DualCore(utility)
         self._fd = None
         if method == "finite_difference" and sharpe > 0.0:
             t_grid, xi, surf = _solve_finite_difference(utility, sharpe, horizon)
@@ -495,9 +496,9 @@ class MertonSolution:
 
 
 def solve_merton(utility: UtilitySpec, sharpe: float, horizon: float,
-                 method: str = "auto", **options) -> MertonSolution:
+                 method: str = "auto") -> MertonSolution:
     """Solve the constant-Sharpe Merton problem; see :class:`MertonSolution`."""
-    return MertonSolution(utility, sharpe, horizon, method=method, **options)
+    return MertonSolution(utility, sharpe, horizon, method=method)
 
 
 def merton_strategy(solution: MertonSolution, t, x, sigma: float):

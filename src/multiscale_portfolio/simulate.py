@@ -11,15 +11,17 @@ Discretization per step of size dt:
 Brownian increments are correlated through the lower-triangular Cholesky
 factor of the (W, W^Y, W^Z) correlation matrix.  Paths are partitioned into
 fixed-size chunks; each chunk owns a counter-based Philox substream keyed by
-(master seed, chunk index) and partial results are combined in chunk order,
-so ensembles are bit-identical for any worker count.
+(master seed, chunk index) and returns one chunk record per strategy: a
+PathEnsemble over the chunk's own paths.  A strategy's ensemble is its chunk
+records merged in chunk order (path arrays concatenated, counters and the
+raw bump sums added), so ensembles are bit-identical for any worker count.
 
 With ``workers > 1`` and more than one chunk, the chunks run on a pool of
 ``min(workers, chunks, cpu_count)`` processes forked from the caller: each
 step is many small numpy calls that hold the GIL, so threads cannot overlap
 them.  The children inherit the job (model, strategies, bundle, config)
 through the fork, because the model's registry closures and the strategies'
-bumps cannot be pickled; only chunk indices go out and chunk results come
+bumps cannot be pickled; only chunk indices go out and chunk records come
 back.  The caller builds any Merton table before forking, so no child builds
 its own.  With one worker or one chunk no process starts.
 
@@ -46,7 +48,7 @@ import logging
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,6 +69,7 @@ __all__ = [
     "DragVerdict",
     "simulate_paths",
     "estimate_value",
+    "paired_mean_se",
     "run_ensembles",
     "engine_processes",
     "bump_drag_diagnostic",
@@ -226,7 +229,8 @@ def dt_for(model: MarketModel, divisor: int = _STEP_DIVISOR) -> float:
 
 @dataclass
 class PathEnsemble:
-    """Per-path terminal records and streamed diagnostics for one strategy."""
+    """Per-path terminal records and streamed diagnostics for one strategy,
+    over one chunk's paths or, merged in chunk order, over a whole run."""
 
     strategy_name: str
     n_paths: int
@@ -241,7 +245,18 @@ class PathEnsemble:
     drag_kind: str | None = None          # "bump" | "mismatch" | None
     drag_max_increment: np.ndarray | None = None
     drag_active: np.ndarray | None = None  # any nonzero increment seen
-    bump_moments: dict = field(default_factory=dict)
+    bump_sums: np.ndarray | None = None    # sums of b^1..b^4, rows (fast, slow)
+
+    @property
+    def bump_moments(self) -> dict:
+        """Empirical moments of the bumps over all path-steps ({} without sums)."""
+        if self.bump_sums is None:
+            return {}
+        total = self.n_paths * self.n_steps
+        return {
+            name: {f"order_{i+1}": float(self.bump_sums[j, i] / total) for i in range(4)}
+            for j, name in enumerate(("fast_bump", "slow_bump"))
+        }
 
 
 @dataclass(frozen=True)
@@ -293,22 +308,9 @@ def _chunk_bounds(n_paths: int, chunk_size: int):
     return [(s, min(s + chunk_size, n_paths)) for s in starts]
 
 
-class _ChunkResult:
-    __slots__ = ("x", "u", "cv", "hit", "drag_max", "drag_active", "bump_sums", "exact")
-
-    def __init__(self, n_strat, n):
-        self.x = [np.empty(n) for _ in range(n_strat)]
-        self.u = [np.empty(n) for _ in range(n_strat)]
-        self.cv = [np.zeros(n) for _ in range(n_strat)]
-        self.hit = [np.zeros(n, dtype=bool) for _ in range(n_strat)]
-        self.drag_max = [np.full(n, -np.inf) for _ in range(n_strat)]
-        self.drag_active = [np.zeros(n, dtype=bool) for _ in range(n_strat)]
-        self.bump_sums = [np.zeros((2, 4)) for _ in range(n_strat)]
-        self.exact = [0] * n_strat
-
-
 def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
                     collect_drag):
+    """One chunk's record per strategy, covering the chunk's n_chunk paths."""
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chunk_index,)))
     )
@@ -321,13 +323,20 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
     ou_std = model.fast.vol * math.sqrt(max(0.0, 1.0 - ou_decay**2))
     ou_mean = model.fast.mean
 
-    n_strat = len(strategies)
-    res = _ChunkResult(n_strat, n_chunk)
     n_draw = n_chunk // 2 if cfg.antithetic else n_chunk
+    # the records accumulate in place; x_terminal is the running wealth until the end
+    recs = [PathEnsemble(strat.name, n_chunk, n_steps, dt, cfg.antithetic,
+                         np.full(n_chunk, cfg.x0), None, np.zeros(n_chunk),
+                         np.zeros(n_chunk, dtype=bool)) for strat in strategies]
+    for strat, rec in zip(strategies, recs if collect_drag else ()):
+        rec.drag_kind = "bump" if isinstance(strat, Perturbed) else "mismatch"
+        rec.drag_max_increment = np.full(n_chunk, -np.inf)
+        rec.drag_active = np.zeros(n_chunk, dtype=bool)
+        if rec.drag_kind == "bump":
+            rec.bump_sums = np.zeros((2, 4))
 
     y = np.full(n_chunk, cfg.y0)
     z = np.full(n_chunk, cfg.z0)
-    xs = [np.full(n_chunk, cfg.x0) for _ in range(n_strat)]
     # a non-power bundle serves the surface from its table: count what it cannot
     tabulated = bundle.merton_table() is not None
 
@@ -352,24 +361,25 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
         if tabulated:
             rms = tab[0] if tab is not None else bundle.averages.sharpe_rms(z)
 
-        for k, strat in enumerate(strategies):
-            x = xs[k]
+        for strat, rec in zip(strategies, recs):
+            x = rec.x_terminal
             pi = strat.position(t, x, y, z)
             alive = x > 0.0
             # paths at the floor get a stand-in wealth of 1 and no CV or drag increment
             x_live = np.where(alive, x, 1.0)
             if tabulated:
-                res.exact[k] += bundle.exact_surface_points(t, x_live, rms)
+                rec.surface_exact_points += bundle.exact_surface_points(t, x_live, rms)
 
             if cfg.control_variate:
                 qx, qz = bundle.q_gradients(t, x_live, z, coefs)
-                res.cv[k] += np.where(alive, qx * pi * sig * dw + qz * sqrt_delta * gz * dwz, 0.0)
+                rec.control_variate += np.where(
+                    alive, qx * pi * sig * dw + qz * sqrt_delta * gz * dwz, 0.0)
 
             if collect_drag:
-                if isinstance(strat, Perturbed):
+                if rec.drag_kind == "bump":
                     b10, b01 = strat.bumps(t, x, y, z)
                     weight = (strat.eps_pow * b10 + strat.delta_pow * b01) ** 2
-                    res.bump_sums[k] += np.array(
+                    rec.bump_sums += np.array(
                         [
                             [np.sum(b), np.sum(b**2), np.sum(b**3), np.sum(b**4)]
                             for b in (b10, b01)
@@ -382,20 +392,19 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
                 if np.any(sel):
                     vxx = bundle.value_xx(t, x_live, z)
                     inc = np.where(sel, 0.5 * weight * sig**2 * vxx * dt, 0.0)
-                np.maximum(res.drag_max[k], inc, out=res.drag_max[k])
-                res.drag_active[k] |= inc != 0.0
+                np.maximum(rec.drag_max_increment, inc, out=rec.drag_max_increment)
+                rec.drag_active |= inc != 0.0
 
             x_new = wealth_step(x, pi, mu, sig, dt, dw)
-            res.hit[k] |= alive & (x_new <= 0.0)
-            xs[k] = x_new
+            rec.floor_hit |= alive & (x_new <= 0.0)
+            rec.x_terminal = x_new
 
         z = z + model.delta * model.slow_drift(z) * dt + sqrt_delta * gz * dwz
         y = ou_mean + (y - ou_mean) * ou_decay + ou_std * wy_std
 
-    for k in range(n_strat):
-        res.x[k][:] = xs[k]
-        res.u[k][:] = bundle.utility.u(np.maximum(xs[k], 0.0))
-    return res
+    for rec in recs:
+        rec.utility_terminal = bundle.utility.u(np.maximum(rec.x_terminal, 0.0))
+    return recs
 
 
 def engine_processes(cfg: SimConfig) -> int:
@@ -451,49 +460,38 @@ def run_ensembles(model: MarketModel, strategies: list[Strategy],
                 initializer=_adopt_job, initargs=job) as pool:
             results = list(pool.map(_run_forked_chunk, range(len(bounds))))
 
-    ensembles = []
-    n_steps = cfg.n_steps
-    dt = cfg.horizon / n_steps
-    for k, strat in enumerate(strategies):
-        x_t = np.concatenate([r.x[k] for r in results])
-        u_t = np.concatenate([r.u[k] for r in results])
-        cv = np.concatenate([r.cv[k] for r in results])
-        hit = np.concatenate([r.hit[k] for r in results])
-        n_aborted = int(np.sum(~np.isfinite(x_t)))
+    ensembles = [_merge(records) for records in zip(*results)]
+    for ens in ensembles:
+        n_aborted = int(np.sum(~np.isfinite(ens.x_terminal)))
         if n_aborted:
             logger.warning(
                 "%d path(s) aborted with non-finite wealth under %s; "
                 "they are excluded from estimates and counted in the report",
-                n_aborted, strat.name,
+                n_aborted, ens.strategy_name,
             )
-        ens = PathEnsemble(
-            strategy_name=strat.name,
-            n_paths=cfg.n_paths,
-            n_steps=n_steps,
-            dt=dt,
-            antithetic=cfg.antithetic,
-            x_terminal=x_t,
-            utility_terminal=u_t,
-            control_variate=cv,
-            floor_hit=hit,
-            surface_exact_points=sum(r.exact[k] for r in results),
-        )
-        if collect_drag:
-            ens.drag_kind = "bump" if isinstance(strat, Perturbed) else "mismatch"
-            ens.drag_max_increment = np.concatenate([r.drag_max[k] for r in results])
-            ens.drag_active = np.concatenate([r.drag_active[k] for r in results])
-            if isinstance(strat, Perturbed):
-                total = cfg.n_paths * n_steps
-                sums = np.sum([r.bump_sums[k] for r in results], axis=0)
-                ens.bump_moments = {
-                    name: {f"order_{i+1}": float(sums[j, i] / total) for i in range(4)}
-                    for j, name in enumerate(("fast_bump", "slow_bump"))
-                }
-                logger.info(
-                    "bump empirical moments for %s: %s", strat.name, ens.bump_moments
-                )
-        ensembles.append(ens)
+        if ens.bump_sums is not None:
+            logger.info("bump empirical moments for %s: %s", ens.strategy_name,
+                        ens.bump_moments)
     return ensembles
+
+
+_PATH_ARRAYS = ("x_terminal", "utility_terminal", "control_variate", "floor_hit",
+                "drag_max_increment", "drag_active")
+
+
+def _merge(records: list[PathEnsemble]) -> PathEnsemble:
+    """One strategy's chunk records, in chunk order, as one record: the path
+    arrays concatenated and the counters summed."""
+    first = records[0]
+    arrays = {name: np.concatenate([getattr(r, name) for r in records])
+              for name in _PATH_ARRAYS if getattr(first, name) is not None}
+    return replace(
+        first, **arrays,
+        n_paths=sum(r.n_paths for r in records),
+        surface_exact_points=sum(r.surface_exact_points for r in records),
+        bump_sums=None if first.bump_sums is None
+        else np.sum([r.bump_sums for r in records], axis=0),
+    )
 
 
 def simulate_paths(model: MarketModel, strategy: Strategy, bundle: ExpansionBundle,
@@ -516,27 +514,29 @@ def _pair_statistics(values: np.ndarray, antithetic: bool, chunk_size: int):
     return np.concatenate(out)
 
 
-def summarize(ensemble: PathEnsemble, chunk_size: int,
-              control_variate: bool) -> ValueEstimate:
-    """Mean/SE of terminal utility, pairing antithetic partners.
-
-    Aborted (non-finite) paths are excluded from the estimate — a pair is
-    dropped if either member aborted — and reported in the diagnostics.
-    """
-    stat = ensemble.utility_terminal - ensemble.control_variate if control_variate \
-        else ensemble.utility_terminal
-    per_obs = _pair_statistics(stat, ensemble.antithetic, chunk_size)
-    finite = np.isfinite(per_obs)
-    n_aborted = int(np.sum(~np.isfinite(ensemble.utility_terminal)))
-    per_obs = per_obs[finite]
+def paired_mean_se(values: np.ndarray, antithetic: bool,
+                   chunk_size: int) -> tuple[float, float, int]:
+    """Mean, standard error and count of the per-path ``values``: antithetic
+    partners are averaged into one observation, and an observation with a
+    non-finite member (an aborted path) is dropped."""
+    per_obs = _pair_statistics(values, antithetic, chunk_size)
+    per_obs = per_obs[np.isfinite(per_obs)]
     n_eff = per_obs.shape[0]
     if n_eff == 0:
         raise RuntimeError("every path aborted; nothing to estimate")
-    mean = float(np.sum(per_obs) / n_eff)
-    if n_eff > 1:
-        se = float(np.std(per_obs, ddof=1) / math.sqrt(n_eff))
-    else:
-        se = 0.0
+    se = float(np.std(per_obs, ddof=1) / math.sqrt(n_eff)) if n_eff > 1 else 0.0
+    return float(np.sum(per_obs) / n_eff), se, n_eff
+
+
+def summarize(ensemble: PathEnsemble, chunk_size: int,
+              control_variate: bool) -> ValueEstimate:
+    """Mean/SE of terminal utility by ``paired_mean_se``, with the control
+    variate subtracted when ``control_variate``; aborted paths are counted
+    in the diagnostics."""
+    stat = ensemble.utility_terminal - ensemble.control_variate if control_variate \
+        else ensemble.utility_terminal
+    mean, se, n_eff = paired_mean_se(stat, ensemble.antithetic, chunk_size)
+    n_aborted = int(np.sum(~np.isfinite(ensemble.utility_terminal)))
     cv = ensemble.control_variate[np.isfinite(ensemble.control_variate)]
     diagnostics = {
         "cv_mean": float(np.mean(cv)) if cv.size else 0.0,
@@ -545,7 +545,7 @@ def summarize(ensemble: PathEnsemble, chunk_size: int,
         "bump_moments": ensemble.bump_moments,
     }
     if ensemble.drag_max_increment is not None:
-        verdict = _drag_verdict(ensemble, ensemble.drag_kind)
+        verdict = _drag_verdict(ensemble)
         diagnostics["drag_sign_ok"] = verdict.passed
         diagnostics["drag_max_increment"] = verdict.max_increment
     return ValueEstimate(
@@ -570,14 +570,12 @@ def estimate_value(model: MarketModel, strategy: Strategy, bundle: ExpansionBund
 # ---------------------------------------------------------------------------
 
 
-def _drag_verdict(ensemble: PathEnsemble, kind: str) -> DragVerdict:
-    if ensemble.drag_max_increment is None:
-        raise ValueError("ensemble was simulated without drag accumulation")
+def _drag_verdict(ensemble: PathEnsemble) -> DragVerdict:
     inc = ensemble.drag_max_increment.copy()
     inc[~ensemble.drag_active] = 0.0  # paths with no nonzero increment
     per_path_pass = inc <= 0.0
     return DragVerdict(
-        kind=kind,
+        kind=ensemble.drag_kind,
         n_paths=ensemble.n_paths,
         max_increment=float(np.max(inc)),
         n_positive_paths=int(np.sum(~per_path_pass)),
@@ -593,14 +591,14 @@ def bump_drag_diagnostic(ensemble: PathEnsemble) -> DragVerdict:
             "bump drag applies to perturbations of the zeroth-order strategy; "
             "use mismatch_drag_diagnostic for other strategies"
         )
-    return _drag_verdict(ensemble, "bump")
+    return _drag_verdict(ensemble)
 
 
 def mismatch_drag_diagnostic(ensemble: PathEnsemble) -> DragVerdict:
     """Sign test on the strategy-mismatch drag (any strategy vs zeroth order)."""
     if ensemble.drag_kind != "mismatch":
         raise ValueError("ensemble does not carry mismatch drag accumulators")
-    return _drag_verdict(ensemble, "mismatch")
+    return _drag_verdict(ensemble)
 
 
 def write_terminal_records(ensemble: PathEnsemble, fh) -> None:

@@ -24,11 +24,11 @@ MIXTURE = make_utility("power_mixture", weights=(1.0, 1.0), exponents=(0.5, 0.25
 
 def make_bundle(sharpe_name, sharpe_params, utility=POWER_HALF, nu=0.5, horizon=1.0,
                 g0=0.4, **kwargs):
-    g, g1, g2 = SLOW_VOL_REGISTRY["const"]([g0])
+    g, g1 = SLOW_VOL_REGISTRY["const"]([g0])
     defaults = dict(
         sigma=SIGMA_REGISTRY["const"]([0.5]),
         fast=OrnsteinUhlenbeckFactor(mean=0.0, vol=nu),
-        slow_vol=g, slow_vol_d1=g1, slow_vol_d2=g2,
+        slow_vol=g, slow_vol_d1=g1,
         epsilon=0.1, delta=0.1,
     )
     defaults.update(kwargs)

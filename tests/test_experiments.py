@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -367,6 +368,52 @@ def test_cli_commands_run_on_narrow_and_off_centre_grids(tmp_path, edits):
     verdicts = [line.rsplit(",", 1)[1]
                 for line in (tmp_path / "invariants.csv").read_text().splitlines()[1:]]
     assert len(verdicts) > 20 and set(verdicts) == {"PASS"}
+
+
+@pytest.mark.parametrize("command", ["residual-study", "all"])
+@pytest.mark.parametrize("epsilons, reason", [
+    ("0.4, 0.2", "at least three grid points"),
+    ("0.4, 0.4, 0.4", "at least two distinct values of eps + delta"),
+], ids=["two_points", "one_scale"])
+def test_cli_rejects_a_grid_with_no_residual_slope(tmp_path, capsys, monkeypatch, command,
+                                                   epsilons, reason):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a path was simulated")
+
+    from multiscale_portfolio import experiments
+
+    for name in ("run_ensembles", "estimate_value"):
+        monkeypatch.setattr(experiments, name, forbidden)
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(_edited_default(("epsilons = 0.4, 0.2, 0.1, 0.05", f"epsilons = {epsilons}")))
+    out = tmp_path / "out"
+    code = run_cli([command, "--config", str(grid), "--out", str(out), "--paths", "512"])
+    assert code == 2
+    assert f"config error: residual study needs {reason}" in capsys.readouterr().out
+    assert not out.exists()
+    # the grid itself is valid: optimality-study, simulate and invariants accept it
+    cfg = replace(load_run_config(grid), n_paths=512)
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        residual_order_study(cfg)
+
+
+def test_cli_simulate_names_the_strategies_whose_drag_sign_test_fails(tmp_path, capsys,
+                                                                     monkeypatch):
+    # a convex value makes every nonzero drag increment positive: the perturbed
+    # and the scaled challengers fail, the zeroth-order strategy has none
+    from multiscale_portfolio.asymptotics import ExpansionBundle
+
+    monkeypatch.setattr(ExpansionBundle, "value_xx",
+                        lambda self, t, x, z: np.ones(np.shape(x)))
+    code = run_cli(["simulate", "--config", "default", "--out", str(tmp_path),
+                    "--paths", "512"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["simulate: drag sign test failed for perturbed_zeroth_order, "
+                     "scaled_0.5_zeroth_order"]
+    verdicts = [ln.rsplit(",", 1)[1]
+                for ln in (tmp_path / "simulation.csv").read_text().splitlines()[1:]]
+    assert verdicts == ["true", "false", "false"]
 
 
 def test_cli_expand_and_solve_merton(tmp_path):

@@ -1,6 +1,7 @@
 """Monte Carlo engine: discretization, determinism, estimators, sign tests."""
 
 import concurrent.futures
+import logging
 import math
 import multiprocessing
 import warnings
@@ -33,6 +34,7 @@ from multiscale_portfolio.simulate import (
     engine_processes,
     estimate_value,
     mismatch_drag_diagnostic,
+    paired_mean_se,
     run_ensembles,
     simulate_paths,
     summarize,
@@ -191,6 +193,54 @@ def test_absorbed_paths_stop_feeding_the_control_variate(utility):
     assert np.mean(ens.floor_hit) > 0.5
     assert np.all(np.isfinite(ens.control_variate)) and np.any(ens.control_variate != 0.0)
     assert np.all(broke.control_variate == 0.0)
+
+
+class AbortsOnePath(Strategy):
+    """Half of wealth in the asset, but a NaN position on one path at the first step."""
+
+    name = "aborts_one_path"
+
+    def __init__(self, path):
+        self.path = path
+
+    def position(self, t, x, y, z):
+        pi = 0.5 * np.asarray(x, dtype=float)
+        if t == 0.0:
+            pi[self.path] = np.nan
+        return pi
+
+
+def test_an_aborted_path_drops_its_antithetic_pair(caplog):
+    model = constant_model(eps=0.4, delta=0.4)
+    b = bundle_for(model)
+    cfg = cfg_for(model, n_paths=64, chunk_size=64)
+    # one chunk: path 37 is the antithetic partner of path 5, in pair 5
+    with caplog.at_level(logging.WARNING, logger=simulate.__name__):
+        base, aborted = run_ensembles(model, [HalfWealth(), AbortsOnePath(37)], b, cfg)
+    assert [r.getMessage() for r in caplog.records] == [
+        "1 path(s) aborted with non-finite wealth under aborts_one_path; "
+        "they are excluded from estimates and counted in the report"]
+    assert np.flatnonzero(~np.isfinite(aborted.x_terminal)).tolist() == [37]
+
+    def surviving_pairs(values):
+        pairs = 0.5 * (values[:32] + values[32:])
+        assert np.flatnonzero(~np.isfinite(pairs)).tolist() == [5]
+        return np.delete(pairs, 5)
+
+    est = summarize(aborted, cfg.chunk_size, control_variate=True)
+    pairs = surviving_pairs(aborted.utility_terminal - aborted.control_variate)
+    assert est.diagnostics["aborted_paths"] == 1
+    assert est.n_effective == cfg.n_paths // 2 - 1
+    assert est.mean == np.mean(pairs)
+    assert est.se == np.std(pairs, ddof=1) / math.sqrt(pairs.size)
+
+    # the optimality study's gap estimator drops the same pair
+    diff = (aborted.utility_terminal - aborted.control_variate) \
+        - (base.utility_terminal - base.control_variate)
+    gap, gap_se, n_gap = paired_mean_se(diff, cfg.antithetic, cfg.chunk_size)
+    gaps = surviving_pairs(diff)
+    assert n_gap == gaps.size == cfg.n_paths // 2 - 1
+    assert gap == np.mean(gaps) and gap_se == np.std(gaps, ddof=1) / math.sqrt(gaps.size)
 
 
 def test_correlated_increments_match_target():
