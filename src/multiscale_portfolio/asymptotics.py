@@ -15,8 +15,11 @@ Vega-Gamma relation v_z = tau rms rms' D1 v, which makes every correction a
 closed form in quantities the Merton solver already provides.  The control
 variate's Q_z takes d/dz D1^2 v = k^2 v_z, k = R_x - 1: exact for a power
 utility, and for any other an approximation that moves only the CV's variance.
-The second-order fast term -(1/2) theta(y, z) D1 v is exposed purely as an
-expansion-quality diagnostic and never enters Q.
+The second-order fast term eps phi2 = -(eps/2) theta(y, z) D1 v never enters
+Q (``second_order_fast_diag`` exposes phi2 as an expansion-quality
+diagnostic), but its y-gradient Q_y = -(eps/2) theta_y D1 v feeds the control
+variate: Y moves with noise of order 1/sqrt(eps), so this term's martingale
+part is of order sqrt(eps), like the first-order terms the CV carries.
 
 The zeroth-order strategy invests pi = (lam(y, z)/sigma(y, z)) R(t, x; rms(z)):
 the local Sharpe-to-vol ratio sized by the averaged risk tolerance.
@@ -195,31 +198,36 @@ class ExpansionBundle:
 
     # -- gradients for the martingale control variate ---------------------------
 
-    def q_coefficients(self, t, z, row):
-        """The z-only coefficients of ``q_gradients`` from a FactorAverages.table
-        row: a = sqrt(eps) fast + sqrt(delta) slow, its z-slope b, tau rms rms'
-        and rms.  The engine computes them once per step for every strategy."""
+    def q_coefficients(self, t, z, row, theta_y):
+        """The wealth-free coefficients of ``q_gradients`` from a
+        FactorAverages.lookup: a = sqrt(eps) fast + sqrt(delta) slow, its
+        z-slope b, tau rms rms', rms, and -(eps/2) theta_y.  The engine
+        computes them once per step for every strategy."""
         fast, slow, fast_z, slow_z = self._prefactors(t, z, row, slopes=True)
         se, sd = np.sqrt(self.model.epsilon), np.sqrt(self.model.delta)
         return (se * fast + sd * slow, se * fast_z + sd * slow_z,
-                (self.horizon - t) * row[0] * row[2], row[0])
+                (self.horizon - t) * row[0] * row[2], row[0],
+                -0.5 * self.model.epsilon * theta_y)
 
-    def q_gradients(self, t, x, z, coefs=None):
-        """(d/dx Q, d/dz Q) from one derivative pack; feeds the control variate.
+    def q_gradients(self, t, x, y, z, coefs=None):
+        """(Q_x, Q_z, Q_y) from one derivative pack; feeds the control variate.
 
-        ``coefs`` is ``q_coefficients(t, z, averages.table(z))`` when the caller
-        holds it.  With k = R_x - 1, D1^2 v = k D1 v and d/dx D1^2 v =
+        ``coefs`` is ``q_coefficients(t, z, *averages.lookup(y, z))`` when the
+        caller holds it.  With k = R_x - 1, D1^2 v = k D1 v and d/dx D1^2 v =
         M_x (k^2 + R R_xx), so Q_x is exact.  Q_z uses the Vega-Gamma identity
         v_z = tau rms rms' D1 v and takes d/dz D1^2 v = k^2 v_z: exact for a
         power, where k is constant, and elsewhere an approximation that, since
         Q_z only multiplies Brownian increments, moves the CV's variance alone.
+        Q_y = -(eps/2) theta_y D1 v is the y-gradient of the second-order fast
+        term, with theta_y from the factor table.
         """
         if coefs is None:
-            coefs = self.q_coefficients(t, z, self.averages.table(z))
-        a, b, c, rms = coefs
+            coefs = self.q_coefficients(t, z, *self.averages.lookup(y, z))
+        a, b, c, rms, e = coefs
         p = self._surface(t, x, z, order=4, rms=rms, table=True)
         k = p["r_x"] - 1.0
         k2 = k * k
+        d1 = p["r"] * p["m_x"]
         q_x = p["m_x"] * (1.0 + a * (k2 + p["r"] * p["r_xx"]))
-        q_z = p["r"] * p["m_x"] * (c * (1.0 + a * k2) + b * k)
-        return q_x, q_z
+        q_z = d1 * (c * (1.0 + a * k2) + b * k)
+        return q_x, q_z, e * d1

@@ -9,7 +9,8 @@ from .experiments import run_cli
 
 
 def main() -> None:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    # the package's own level comes from --log-level (default INFO)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     sys.exit(run_cli(sys.argv[1:]))
 
 

@@ -87,7 +87,8 @@ logger = logging.getLogger(__name__)
 
 OUTPUT_DIR_ENV = "MSPORT_OUTPUT_DIR"
 
-RESIDUAL_HEADER = ["epsilon", "delta", "v0", "q", "v_hat", "se", "residual", "resolved"]
+RESIDUAL_HEADER = ["epsilon", "delta", "v0", "q", "v_hat", "se", "residual", "resolved",
+                   "se_raw", "cv_variance_ratio"]
 OPTIMALITY_HEADER = ["epsilon", "delta", "challenger", "v_hat", "se", "ell_hat", "ell_se", "verdict"]
 INVARIANT_HEADER = ["name", "measured", "tolerance", "verdict"]
 SIMULATION_HEADER = ["strategy", "mean", "se", "n_paths", "floor_hit_rate", "drag_sign_ok"]
@@ -537,7 +538,9 @@ def residual_order_study(cfg: RunConfig) -> ResidualStudy:
         q = float(bundle.first_order_value(0.0, cfg.x0, cfg.z0))
         residual = est.mean - q
         rows.append(dict(zip(RESIDUAL_HEADER, (eps, delta, v0, q, est.mean, est.se, residual,
-                                                abs(residual) > 2.0 * est.se))))
+                                                abs(residual) > 2.0 * est.se,
+                                                est.diagnostics["se_raw"],
+                                                est.diagnostics["cv_variance_ratio"]))))
     slope, slope_se, _ = fit_loglog_slope(
         [r["epsilon"] + r["delta"] for r in rows],
         [r["residual"] for r in rows],
@@ -786,7 +789,7 @@ def write_csv(path: Path, header: list[str], rows: list[dict],
 
 def write_residual_csv(path: Path, study: ResidualStudy) -> None:
     summary = ["slope", study.slope, study.slope_se, study.band[0], study.band[1],
-               "", "", study.verdict]
+               "", "", study.verdict, "", ""]
     write_csv(path, RESIDUAL_HEADER, study.rows, summary)
 
 
@@ -915,8 +918,21 @@ def run_cli(argv: list[str]) -> int:
                         help="treat UNRESOLVED verdicts as failures")
     parser.add_argument("--terminal-csv", default=None,
                         help="simulate: stream per-path terminal records to this file")
+    parser.add_argument("--log-level", default="INFO",
+                        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+                        help="lowest level of the package's log records to emit")
     args = parser.parse_args(argv)
+    package_logger = logging.getLogger(__package__)
+    saved_level = package_logger.level
+    package_logger.setLevel(args.log_level)
+    try:
+        return _run_command(args)
+    finally:
+        package_logger.setLevel(saved_level)
 
+
+def _run_command(args) -> int:
+    """The parsed command line, run; returns run_cli's exit code."""
     try:
         cfg = load_run_config(args.config)
         if args.workers is not None:

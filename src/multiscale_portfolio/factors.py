@@ -23,7 +23,10 @@ The corrector gradient uses the stationary-flux integral form
 
 evaluated with Gauss-Legendre panels and switched to the complementary tail
 integral for y above the mean to avoid cancellation.  theta itself is fixed
-by the zero-average normalization <theta(., z)> = 0.
+by the zero-average normalization <theta(., z)> = 0.  The control variate
+reads theta_y at every path and step from a (z-node, y) table built once from
+cumulative panels of the same flux; ``PoissonSolution.gradient`` stays the
+reference it is checked against.
 """
 
 from __future__ import annotations
@@ -57,12 +60,16 @@ __all__ = [
 _GL_NODES = 200
 _GL_WINDOW = 26.0  # integration window half-width, in units of nu
 _CENTERING_TOL = 1e-10
+_THETA_Y_NODES = 401    # y-nodes of the theta_y table
+_THETA_Y_WINDOW = 8.0   # their half-width, in units of nu
+_PANEL_NODES = 4        # Gauss-Legendre nodes per panel between y-nodes
+_THETA_Z_BLOCK = 8      # z-nodes per block of the table build, to bound its memory
 
 
 @cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The corrector's Gauss-Legendre rule on [-1, 1], computed once per process."""
-    return roots_legendre(_GL_NODES)
+def _gauss_legendre(n: int = _GL_NODES) -> tuple[np.ndarray, np.ndarray]:
+    """A Gauss-Legendre rule on [-1, 1], computed once per process."""
+    return roots_legendre(n)
 
 
 @dataclass(frozen=True)
@@ -289,6 +296,12 @@ class FactorAverages:
     quadratures inside a Monte Carlo step loop would dominate the runtime);
     z off the grid is an error, never an extrapolation.  The module-level
     quadrature functions remain the reference the table is checked against.
+
+    The corrector gradient theta_y(y, z), which the control variate reads,
+    comes from a second table at the same z-nodes, built on first use
+    (``theta_gradient_table``): ``lookup(y, z)`` returns both for one
+    interval search, taking theta_y at the nearest z-node and linearly in y,
+    held at its end values beyond the y-grid.
     """
 
     def __init__(self, model: MarketModel, z_grid: np.ndarray):
@@ -304,30 +317,64 @@ class FactorAverages:
         # _coef[column, k, i] multiplies (z - z_i)^(3 - k) on interval i
         self._coef = np.ascontiguousarray(CubicSpline(z_grid, nodes).c.transpose(2, 0, 1))
         self._inv_step = 1.0 / step
+        self._half_step = 0.5 * step
+        self._theta = None  # (y_grid, table), built on first use
+
+    def _locate(self, z: np.ndarray):
+        """Interval index and offset of each z (flat); ValueError off the grid."""
+        lo, hi = self.z_grid[0], self.z_grid[-1]
+        if z.size and not (lo <= z.min() and z.max() <= hi):
+            raise ValueError(
+                f"z in [{z.min():.6g}, {z.max():.6g}] falls outside the cached "
+                f"z-grid [{lo:.6g}, {hi:.6g}]"
+            )
+        # uniform grid: the interval index is arithmetic, and z >= lo keeps it >= 0
+        idx = np.minimum(((z - lo) * self._inv_step).astype(np.intp),
+                         self._coef.shape[2] - 1)
+        return idx, z - self.z_grid[idx]
+
+    def _columns(self, idx, dx, slopes):
+        out = np.empty((len(TABLE_COLUMNS) if slopes else _N_VALUES, idx.size))
+        for j in range(_N_VALUES):
+            c3, c2, c1, c0 = self._coef[j].take(idx, axis=1)  # one gather per column
+            out[j] = ((c3 * dx + c2) * dx + c1) * dx + c0
+            if slopes and j:  # the slope of column j is column 3 + j
+                out[_N_VALUES - 1 + j] = (3.0 * c3 * dx + 2.0 * c2) * dx + c1
+        return out
+
+    def _theta_at(self, y, idx, dx):
+        y_grid, table = self.theta_gradient_table()
+        last = y_grid.size - 1
+        u = np.clip((y - y_grid[0]) * (last / (y_grid[-1] - y_grid[0])), 0.0, last)
+        j = np.minimum(u.astype(np.intp), last - 1)
+        frac = u - j
+        j += (idx + (dx > self._half_step)) * y_grid.size  # at the nearest z-node
+        below = table.take(j)
+        return below + frac * (table.take(j + 1) - below)
 
     def table(self, z, slopes: bool = True) -> np.ndarray:
         """TABLE_COLUMNS at z, shape (7,) + shape(z); only the four averages
         without ``slopes``.  Raises ValueError for z off the grid."""
-        n_cols = len(TABLE_COLUMNS) if slopes else _N_VALUES
         z = np.asarray(z, dtype=float)
-        flat = z.reshape(-1)
-        lo, hi = self.z_grid[0], self.z_grid[-1]
-        if flat.size and not (lo <= flat.min() and flat.max() <= hi):
-            raise ValueError(
-                f"z in [{flat.min():.6g}, {flat.max():.6g}] falls outside the cached "
-                f"z-grid [{lo:.6g}, {hi:.6g}]"
-            )
-        # uniform grid: the interval index is arithmetic, and z >= lo keeps it >= 0
-        idx = np.minimum(((flat - lo) * self._inv_step).astype(np.intp),
-                         self._coef.shape[2] - 1)
-        dx = flat - self.z_grid[idx]
-        out = np.empty((n_cols, flat.size))
-        for j in range(_N_VALUES):
-            c3, c2, c1, c0 = (c[idx] for c in self._coef[j])
-            out[j] = ((c3 * dx + c2) * dx + c1) * dx + c0
-            if slopes and j:  # the slope of column j is column 3 + j
-                out[_N_VALUES - 1 + j] = (3.0 * c3 * dx + 2.0 * c2) * dx + c1
-        return out.reshape((n_cols,) + z.shape)
+        out = self._columns(*self._locate(z.reshape(-1)), slopes)
+        return out.reshape(out.shape[:1] + z.shape)
+
+    def theta_gradient_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(y_grid, theta_y at (z-node, y)), built once on first use; a run on
+        forked processes builds it before forking."""
+        if self._theta is None:
+            self._theta = _tabulate_theta_gradient(self.model, self.z_grid)
+        return self._theta
+
+    def lookup(self, y, z) -> tuple[np.ndarray, np.ndarray]:
+        """(table(z), theta_y(y, z)) from one interval search, in the shape of
+        y and z broadcast together: the engine's one factor lookup per step.
+        Raises ValueError for z off the grid."""
+        y, z = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(z, dtype=float))
+        idx, dx = self._locate(z.reshape(-1))
+        out = self._columns(idx, dx, True)
+        return (out.reshape(out.shape[:1] + z.shape),
+                self._theta_at(y.reshape(-1), idx, dx).reshape(z.shape))
 
     def _column(self, j, z):
         return self.table(z, slopes=j >= _N_VALUES)[j]
@@ -361,6 +408,45 @@ class FactorAverages:
     def coupling_slope(self, z):
         """d/dz of coupling."""
         return self._column(6, z)
+
+
+def _tabulate_theta_gradient(model: MarketModel, z_grid: np.ndarray):
+    """theta_y at the z-nodes (rows) and a uniform y-grid of _THETA_Y_NODES
+    points within _THETA_Y_WINDOW nu of the mean (columns): the flux
+    integrals of PoissonSolution.gradient, accumulated panel by panel from
+    the left tail for y at or below the mean and from the right tail above
+    it.  Returns (y_grid, table); the table is zero for a degenerate factor."""
+    fast = model.fast
+    y = fast.mean + (fast.vol or 1.0) * np.linspace(-_THETA_Y_WINDOW, _THETA_Y_WINDOW,
+                                                    _THETA_Y_NODES)
+    table = np.zeros((z_grid.size, y.size))
+    if fast.vol == 0.0:
+        return y, table
+
+    def panels(lo, hi, n):  # nodes and stationary-density weights on each [lo, hi]
+        gl_x, gl_w = _gauss_legendre(n)
+        half = 0.5 * (hi - lo)[:, None]
+        u = 0.5 * (lo + hi)[:, None] + half * gl_x
+        return u, half * gl_w * fast.stationary_pdf(u)
+
+    width = _GL_WINDOW * fast.vol
+    # the two tails, out to the corrector's window, take its full rule
+    rules = (panels(np.array([fast.mean - width]), y[:1], _GL_NODES),
+             panels(y[:-1], y[1:], _PANEL_NODES),
+             panels(y[-1:], np.array([fast.mean + width]), _GL_NODES))
+    nodes, w = fast.stationary_nodes()
+    left = y <= fast.mean
+    scale = 2.0 / (fast.noise(y) ** 2 * fast.stationary_pdf(y))
+    for a in range(0, z_grid.size, _THETA_Z_BLOCK):
+        zb = z_grid[a:a + _THETA_Z_BLOCK, None]
+        mean_square = (w @ model.sharpe(nodes[:, None], zb.T) ** 2)[:, None, None]
+        flux = np.concatenate(  # (block, panels): each panel's share of the flux
+            [np.sum((model.sharpe(u, zb[..., None]) ** 2 - mean_square) * wts, axis=-1)
+             for u, wts in rules], axis=1)
+        from_left = np.cumsum(flux[:, :-1], axis=1)
+        from_right = -np.cumsum(flux[:, :0:-1], axis=1)[:, ::-1]
+        table[a:a + _THETA_Z_BLOCK] = np.where(left, from_left, from_right) * scale
+    return y, table
 
 
 def averaged_sharpe(model: MarketModel, z_grid: np.ndarray) -> FactorAverages:

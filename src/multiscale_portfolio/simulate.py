@@ -29,10 +29,13 @@ Variance reduction: antithetic pairing within chunks, and an optional
 martingale control variate accumulating the Ito martingale part of the
 first-order value approximation Q along each path,
 
-    CV = sum_n  Q_x dX_mart + Q_z sqrt(delta) g dW^Z,
+    CV = sum_n  Q_x dX_mart + Q_z sqrt(delta) g dW^Z + Q_y dY_mart,
 
-whose increments have exactly zero conditional mean, so subtracting CV from
-the terminal utility never biases the estimator, for any strategy.
+where dY_mart is the OU step's own noise and Q_y = -(eps/2) theta_y D1 v is
+the y-gradient of the second-order fast term.  Every increment is an adapted
+coefficient times fresh noise, with exactly zero conditional mean, so
+subtracting CV from the terminal utility never biases the estimator, for
+any strategy.
 
 Two pathwise sign diagnostics accumulate the monotone drag terms of the
 value comparison: the bump drag -(1/2)(eps^a b10 + delta^b b01)^2 sigma^2 |v_xx|
@@ -350,14 +353,17 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
         wz_std = chol[2, 0] * eta[0] + chol[2, 1] * eta[1] + chol[2, 2] * eta[2]
         dw = w_std * sqrt_dt
         dwz = wz_std * sqrt_dt
+        dy_mart = ou_std * wy_std  # the OU step's noise, which the CV's Q_y term reuses
 
         lam = model.sharpe(y, z)
         sig = model.sigma(y, z)
         mu = lam * sig
         gz = model.slow_vol(z)
-        # one factor table and one set of CV coefficients per step, for every strategy
-        tab = bundle.averages.table(z) if cfg.control_variate else None
-        coefs = bundle.q_coefficients(t, z, tab) if cfg.control_variate else None
+        # one factor lookup and one set of CV coefficients per step, for every strategy
+        tab = coefs = None
+        if cfg.control_variate:
+            tab, theta_y = bundle.averages.lookup(y, z)
+            coefs = bundle.q_coefficients(t, z, tab, theta_y)
         if tabulated:
             rms = tab[0] if tab is not None else bundle.averages.sharpe_rms(z)
 
@@ -371,9 +377,9 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
                 rec.surface_exact_points += bundle.exact_surface_points(t, x_live, rms)
 
             if cfg.control_variate:
-                qx, qz = bundle.q_gradients(t, x_live, z, coefs)
+                qx, qz, qy = bundle.q_gradients(t, x_live, y, z, coefs)
                 rec.control_variate += np.where(
-                    alive, qx * pi * sig * dw + qz * sqrt_delta * gz * dwz, 0.0)
+                    alive, qx * pi * sig * dw + qz * sqrt_delta * gz * dwz + qy * dy_mart, 0.0)
 
             if collect_drag:
                 if rec.drag_kind == "bump":
@@ -400,7 +406,7 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
             rec.x_terminal = x_new
 
         z = z + model.delta * model.slow_drift(z) * dt + sqrt_delta * gz * dwz
-        y = ou_mean + (y - ou_mean) * ou_decay + ou_std * wy_std
+        y = ou_mean + (y - ou_mean) * ou_decay + dy_mart
 
     for rec in recs:
         rec.utility_terminal = bundle.utility.u(np.maximum(rec.x_terminal, 0.0))
@@ -452,7 +458,10 @@ def run_ensembles(model: MarketModel, strategies: list[Strategy],
     if n_proc == 1:
         results = [_run_chunk(job, idx) for idx in range(len(bounds))]
     else:
-        bundle.merton_table()  # built once here and inherited by every child
+        # the tables are built once here and inherited by every child
+        bundle.merton_table()
+        if cfg.control_variate:
+            bundle.averages.theta_gradient_table()
         # concurrent.futures imports its process module on this first use, so
         # one-process runs never load it
         with concurrent.futures.ProcessPoolExecutor(
@@ -531,14 +540,18 @@ def paired_mean_se(values: np.ndarray, antithetic: bool,
 def summarize(ensemble: PathEnsemble, chunk_size: int,
               control_variate: bool) -> ValueEstimate:
     """Mean/SE of terminal utility by ``paired_mean_se``, with the control
-    variate subtracted when ``control_variate``; aborted paths are counted
-    in the diagnostics."""
-    stat = ensemble.utility_terminal - ensemble.control_variate if control_variate \
-        else ensemble.utility_terminal
+    variate subtracted when ``control_variate``.  The diagnostics carry the
+    SE without it (``se_raw``), the variance reduction (se_raw / se)^2
+    (``cv_variance_ratio``, 1 without the CV) and the aborted paths."""
+    raw = ensemble.utility_terminal
+    stat = raw - ensemble.control_variate if control_variate else raw
     mean, se, n_eff = paired_mean_se(stat, ensemble.antithetic, chunk_size)
-    n_aborted = int(np.sum(~np.isfinite(ensemble.utility_terminal)))
+    se_raw = paired_mean_se(raw, ensemble.antithetic, chunk_size)[1] if control_variate else se
+    n_aborted = int(np.sum(~np.isfinite(raw)))
     cv = ensemble.control_variate[np.isfinite(ensemble.control_variate)]
     diagnostics = {
+        "se_raw": se_raw,
+        "cv_variance_ratio": (se_raw / se) ** 2 if se > 0.0 else math.nan,
         "cv_mean": float(np.mean(cv)) if cv.size else 0.0,
         "aborted_paths": n_aborted,
         "surface_exact_points": ensemble.surface_exact_points,

@@ -186,7 +186,7 @@ def test_q_gradient_x_matches_finite_difference():
     h = 1e-5
     for x in (0.5, 1.0, 2.0):
         fd = (b.first_order_value(t, x + h, z) - b.first_order_value(t, x - h, z)) / (2 * h)
-        qx = float(b.q_gradients(t, np.array([x]), np.array([z]))[0][0])
+        qx = float(b.q_gradients(t, np.array([x]), np.array([0.3]), np.array([z]))[0][0])
         assert qx == pytest.approx(float(fd), rel=1e-7)
 
 
@@ -196,8 +196,27 @@ def test_q_gradient_z_matches_finite_difference():
     h = 1e-5
     for z in (-0.2, 0.0, 0.3):
         fd = (b.first_order_value(t, x, z + h) - b.first_order_value(t, x, z - h)) / (2 * h)
-        qz = float(b.q_gradients(t, np.array([x]), np.array([z]))[1][0])
+        qz = float(b.q_gradients(t, np.array([x]), np.array([0.3]), np.array([z]))[1][0])
         assert qz == pytest.approx(float(fd), rel=1e-5)
+
+
+@pytest.mark.parametrize("utility", [POWER_HALF, MIXTURE], ids=["power", "mixture"])
+def test_q_gradient_y_matches_finite_difference_of_the_second_order_term(utility):
+    # Q_y is the y-gradient of eps phi2 = -(eps/2) theta D1 v; at a z-node the
+    # table's theta_y differs from the corrector's only by its y-interpolation
+    b = make_bundle("affine_z_tanh_y", [0.5, 0.25, 0.35], utility=utility,
+                    rho1=-0.5, rho2=-0.4)
+    eps = b.model.epsilon
+    t, x, h = 0.3, 1.2, 1e-4
+    z = float(b.averages.z_grid[120])
+    for y in (-1.1, -0.2, 0.0, 0.45, 1.3):
+        fd = eps * (b.second_order_fast_diag(t, x, y + h, z)
+                    - b.second_order_fast_diag(t, x, y - h, z)) / (2 * h)
+        qy = b.q_gradients(t, np.array([x]), np.array([y]), np.array([z]))[2][0]
+        assert qy == pytest.approx(float(fd), rel=1e-4)
+    # a y-free Sharpe ratio has no corrector and so no y-gradient
+    flat = make_bundle("affine_z", [0.5, 0.25], utility=utility)
+    assert abs(flat.q_gradients(t, np.array([x]), np.array([0.7]), np.array([z]))[2][0]) <= 1e-15
 
 
 @pytest.mark.parametrize("utility", [POWER_HALF, MIXTURE])
@@ -207,21 +226,23 @@ def test_q_gradients_with_a_masked_shared_row_are_exact(utility):
                              utility, 1.0)
     rng = np.random.default_rng(7)
     z = rng.uniform(-1.0, 1.0, 64)
+    y = rng.normal(0.0, 0.5, 64)
     x = np.exp(rng.normal(0.0, 0.3, 64))
     alive = rng.random(64) < 0.7
-    row = cached.averages.table(z)[:, alive]
-    shared = cached.q_gradients(0.3, x[alive], z[alive],
-                                cached.q_coefficients(0.3, z[alive], row))
-    own = cached.q_gradients(0.3, x[alive], z[alive])
+    row, theta_y = cached.averages.lookup(y, z)
+    shared = cached.q_gradients(0.3, x[alive], y[alive], z[alive],
+                                cached.q_coefficients(0.3, z[alive], row[:, alive],
+                                                      theta_y[alive]))
+    own = cached.q_gradients(0.3, x[alive], y[alive], z[alive])
     assert all(np.array_equal(s, o) for s, o in zip(shared, own))
     # one set of coefficients per step serves every strategy's wealth, masked or not
-    step = cached.q_coefficients(0.3, z, cached.averages.table(z))
+    step = cached.q_coefficients(0.3, z, row, theta_y)
     masked = tuple(c[alive] for c in step)
     assert all(np.array_equal(s, o) for s, o in
-               zip(cached.q_gradients(0.3, x[alive], z[alive], masked), own))
+               zip(cached.q_gradients(0.3, x[alive], y[alive], z[alive], masked), own))
     for wealth in (x, 0.5 * x, np.where(alive, x, 1.0)):
-        shared = cached.q_gradients(0.3, wealth, z, step)
-        own = cached.q_gradients(0.3, wealth, z)
+        shared = cached.q_gradients(0.3, wealth, y, z, step)
+        own = cached.q_gradients(0.3, wealth, y, z)
         assert all(np.array_equal(s, o) for s, o in zip(shared, own))
 
 
@@ -239,7 +260,7 @@ def test_mixture_bundle_leading_order_matches_direct_solve():
 def test_power_bundle_has_no_table():
     b = make_bundle("affine_z_tanh_y", [0.5, 0.25, 0.35])
     assert b.merton_table() is None
-    b.q_gradients(0.3, np.array([1.0]), np.array([0.0]))
+    b.q_gradients(0.3, np.array([1.0]), np.array([0.0]), np.array([0.0]))
     assert b._table is None
     assert b.exact_surface_points(0.3, np.array([1e-6]), np.array([0.6])) == 0
 

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import multiprocessing
 import os
 import re
 from dataclasses import replace
@@ -163,6 +164,8 @@ def test_residual_study_schema_and_resolution(small_residual):
     for r in rows:
         assert r["q"] != r["v0"]  # corrections are active in the reference scenario
         assert np.isfinite(r["se"]) and r["se"] > 0.0
+        # the CV's variance gain, from summarize's diagnostics
+        assert r["cv_variance_ratio"] == (r["se_raw"] / r["se"]) ** 2 > 10.0
     assert small_residual.verdict in ("PASS", "UNRESOLVED")
 
 
@@ -227,9 +230,11 @@ def test_residual_csv_layout(tmp_path, small_residual):
     path = tmp_path / "residual.csv"
     write_residual_csv(path, small_residual)
     lines = path.read_text().splitlines()
-    assert lines[0] == "epsilon,delta,v0,q,v_hat,se,residual,resolved"
+    assert lines[0] == "epsilon,delta,v0,q,v_hat,se,residual,resolved,se_raw,cv_variance_ratio"
     assert len(lines) == 1 + 4 + 1
     assert lines[-1].startswith("slope,")
+    assert lines[-1].split(",")[7] == small_residual.verdict
+    assert {line.count(",") for line in lines} == {9}
 
 
 def test_report_determinism(tmp_path, small_cfg):
@@ -252,6 +257,27 @@ def test_cli_invariants_default(tmp_path, capsys):
     assert (tmp_path / "invariants.csv").is_file()
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["verdicts"]["invariants"] == "PASS"
+
+
+@pytest.mark.parametrize("level, n_lines", [("INFO", 3), ("WARNING", 0)])
+def test_cli_log_level_sets_the_package_level(tmp_path, caplog, level, n_lines):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(DEFAULT_CONFIG_TEXT.replace("epsilons = 0.4, 0.2, 0.1, 0.05",
+                                               "epsilons = 0.4, 0.2, 0.1")
+                   .replace("n_paths = 400000", "n_paths = 64"))
+    code = run_cli(["residual-study", "--config", str(cfg), "--out", str(tmp_path),
+                    "--log-level", level])
+    assert code in (0, 1)  # 64 paths may leave the study unresolved or failing
+    points = [r for r in caplog.records if r.name == "multiscale_portfolio.experiments"]
+    assert len(points) == n_lines  # one INFO line per grid point, or none
+    assert logging.getLogger("multiscale_portfolio").level == logging.NOTSET  # restored
+
+
+def test_cli_rejects_an_unknown_log_level(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["invariants", "--config", "default", "--log-level", "LOUD"])
+    assert exc.value.code == 2
+    assert "--log-level" in capsys.readouterr().err
 
 
 def test_cli_missing_config(tmp_path):
@@ -522,6 +548,26 @@ def test_mixture_residual_study_reduced_scale(mixture_cfg):
                                          deltas=(0.4, 0.2, 0.1)))
     assert study.verdict == "PASS"
     assert all(r["resolved"] for r in study.rows)
+
+
+@pytest.mark.parametrize("study", [residual_order_study, optimality_study])
+def test_a_study_builds_one_theta_table_under_workers(monkeypatch, small_cfg, study):
+    # theta_y depends on the Sharpe ratio and the fast factor, not on (eps, delta):
+    # the caller builds it before forking and every grid point shares it
+    from multiscale_portfolio import factors
+
+    builds = multiprocessing.Value("i", 0)  # shared, so a child's build would count
+    real = factors._tabulate_theta_gradient
+
+    def counting(*args):
+        with builds.get_lock():
+            builds.value += 1
+        return real(*args)
+
+    monkeypatch.setattr(factors, "_tabulate_theta_gradient", counting)
+    study(replace(small_cfg, epsilons=(0.4, 0.2, 0.1), deltas=(0.4, 0.2, 0.1),
+                  n_paths=64, chunk_size=32, workers=2))
+    assert builds.value == 1
 
 
 @pytest.mark.parametrize("study", [residual_order_study, optimality_study])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multiscale_portfolio import factors
 from multiscale_portfolio.factors import (
@@ -276,3 +277,81 @@ def test_source_centering_enforced():
     sol = PoissonSolution(model, 0.0)
     centered = invariant_average(model, sol._source, 0.0)
     assert abs(centered) <= 1e-10 * (1.0 + sol.mean_square)
+
+
+# -- the theta_y table the control variate reads ----------------------------
+
+REGISTRY_PARAMS = {"const": [0.5], "affine_z": [0.5, 0.25],
+                   "affine_z_tanh_y": [0.5, 0.25, 0.35], "prop_y": [1.0], "prop_yz": [1.0]}
+
+
+@pytest.fixture(scope="module")
+def theta_averages():
+    """Factor averages on a narrow grid (z-step 0.003), one per registry entry."""
+    return {name: averaged_sharpe(make_model(name, params, nu=0.5),
+                                  z_grid=z_cache_grid(0.0, 0.25))
+            for name, params in REGISTRY_PARAMS.items()}
+
+
+def test_registry_params_cover_every_sharpe_entry():
+    assert set(REGISTRY_PARAMS) == set(SHARPE_REGISTRY)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(REGISTRY_PARAMS)),
+       u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0))
+def test_theta_gradient_table_certificate(theta_averages, name, u, v):
+    # theta_y is read at the nearest z-node and linearly in y: against the
+    # reference at that node the error is the y-interpolation's (below 1e-4),
+    # and against the reference at z itself it adds half a z-step times
+    # |theta_yz|, below 5e-3 for every entry on this grid (prop_yz is the worst)
+    averages = theta_averages[name]
+    y_grid, table = averages.theta_gradient_table()
+    assert table.shape == (averages.z_grid.size, y_grid.size)
+    z_lo, z_hi = averages.z_grid[[0, -1]]
+    y = float(y_grid[0] + u * (y_grid[-1] - y_grid[0]))
+    z = float(z_lo + v * (z_hi - z_lo))
+    got = float(averages.lookup(y, z)[1])
+    node = averages.z_grid[int(np.argmin(np.abs(averages.z_grid - z)))]
+    assert abs(got - PoissonSolution(averages.model, node).gradient(y)) <= 1e-4
+    assert abs(got - PoissonSolution(averages.model, z).gradient(y)) <= 5e-3
+
+
+def test_theta_gradient_table_is_the_reference_at_the_nodes(theta_averages):
+    averages = theta_averages["affine_z_tanh_y"]
+    y_grid, table = averages.theta_gradient_table()
+    for k in (0, 77, 200):
+        ref = PoissonSolution(averages.model, averages.z_grid[k]).gradient(y_grid)
+        np.testing.assert_allclose(table[k], ref, rtol=0.0, atol=1e-12)
+        # at a node, the lookup returns the table entry (to the rounding of y's offset)
+        got = averages.lookup(y_grid, np.full(y_grid.size, averages.z_grid[k]))[1]
+        np.testing.assert_allclose(got, table[k], rtol=1e-12, atol=1e-15)
+    with pytest.raises(ValueError, match="outside the cached z-grid"):
+        averages.lookup(0.0, 1.0)
+
+
+def test_lookup_is_the_table_row_and_theta_y_at_the_nearest_node(theta_averages):
+    averages = theta_averages["prop_yz"]
+    y_grid, table = averages.theta_gradient_table()
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-0.3, 0.3, 50)
+    y = rng.normal(0.0, 2.0, 50)  # some beyond the y-grid's 4, where the end value holds
+    assert np.any(np.abs(y) > y_grid[-1])
+    row, theta_y = averages.lookup(y, z)
+    assert np.array_equal(row, averages.table(z))
+    nearest = np.argmin(np.abs(averages.z_grid[:, None] - z), axis=0)
+    expected = [np.interp(yy, y_grid, table[k]) for yy, k in zip(y, nearest)]
+    np.testing.assert_allclose(theta_y, expected, rtol=1e-12, atol=1e-15)
+
+
+def test_degenerate_fast_factor_has_a_zero_theta_table(monkeypatch):
+    model = make_model("affine_z_tanh_y", [0.5, 0.25, 0.3], nu=0.0, mean=1.0)
+    av = averaged_sharpe(model, z_grid=z_cache_grid(0.0, 2.0))
+
+    def no_density(self, y):
+        raise AssertionError("the degenerate factor's density was read")
+
+    monkeypatch.setattr(OrnsteinUhlenbeckFactor, "stationary_pdf", no_density)
+    _, table = av.theta_gradient_table()
+    assert np.all(table == 0.0)
+    assert np.all(av.lookup(np.array([-1.0, 1.0, 3.0]), np.array([0.0, 0.5, -1.0]))[1] == 0.0)

@@ -10,13 +10,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from multiscale_portfolio import simulate
+from multiscale_portfolio import factors, simulate
 from multiscale_portfolio.asymptotics import ExpansionBundle
 from multiscale_portfolio.factors import (
     MarketModel,
     OrnsteinUhlenbeckFactor,
     SHARPE_REGISTRY,
     SIGMA_REGISTRY,
+    SLOW_DRIFT_REGISTRY,
+    SLOW_VOL_REGISTRY,
     averaged_sharpe,
     z_cache_grid,
 )
@@ -449,10 +451,10 @@ def test_cv_coefficients_are_computed_once_per_step_per_chunk(monkeypatch, n_str
     calls = multiprocessing.Value("i", 0)
     real = ExpansionBundle.q_coefficients
 
-    def counted(self, t, z, row):
+    def counted(self, t, z, row, theta_y):
         with calls.get_lock():
             calls.value += 1
-        return real(self, t, z, row)
+        return real(self, t, z, row, theta_y)
 
     monkeypatch.setattr(ExpansionBundle, "q_coefficients", counted)
     model = constant_model(eps=0.4, delta=0.4)
@@ -561,3 +563,93 @@ def test_chunk_counters_come_back_from_the_children():
         assert one.bump_moments == two.bump_moments
     assert runs[1][1].bump_moments["fast_bump"]["order_1"] > 0.0
 
+
+
+# -- the fast factor's term in the control variate ---------------------------------
+
+
+def tanh_model(eps=0.1, vol=0.7):
+    """The reference scenario's coefficients: a Sharpe ratio that moves with y."""
+    g, g1 = SLOW_VOL_REGISTRY["const"]([0.75])
+    return MarketModel(
+        sharpe=SHARPE_REGISTRY["affine_z_tanh_y"]([0.5, 0.25, 0.35]),
+        sigma=SIGMA_REGISTRY["const"]([0.5]),
+        fast=OrnsteinUhlenbeckFactor(mean=0.0, vol=vol),
+        slow_drift=SLOW_DRIFT_REGISTRY["mean_revert"]([1.0, 0.0]), slow_vol=g, slow_vol_d1=g1,
+        rho1=-0.5, rho2=-0.4, rho12=0.1, epsilon=eps, delta=eps,
+    )
+
+
+@pytest.mark.parametrize("utility, eps, n_paths", [(POWER_HALF, 0.1, 2048), (MIXTURE, 0.4, 512)],
+                         ids=["power", "mixture"])
+def test_control_variate_with_the_fast_term_stays_mean_zero(utility, eps, n_paths):
+    model = tanh_model(eps)
+    b = bundle_for(model, utility, halfwidth=1.5)
+    cfg = cfg_for(model, n_paths=n_paths, chunk_size=n_paths // 2, seed=17)
+    ens = run_ensembles(model, [ZerothOrder(b)], b, cfg)[0]
+    mean, se, _ = paired_mean_se(ens.control_variate, True, cfg.chunk_size)
+    assert abs(mean) <= 4.0 * se
+    # the term is live: with theta_y zeroed the CV changes, and the noise does not
+    y_grid, table = b.averages.theta_gradient_table()
+    b.averages._theta = (y_grid, np.zeros_like(table))
+    without = run_ensembles(model, [ZerothOrder(b)], b, cfg)[0]
+    assert np.array_equal(ens.x_terminal, without.x_terminal)
+    assert not np.array_equal(ens.control_variate, without.control_variate)
+
+
+def test_control_variate_with_the_fast_term_is_identical_across_workers():
+    model = tanh_model(0.2)
+    b = bundle_for(model, halfwidth=1.5)
+    base = ZerothOrder(b)
+    runs = [run_ensembles(model, [base, Scaled(base, 0.5)], b,
+                          cfg_for(model, n_paths=256, chunk_size=64, workers=w))
+            for w in (1, 2)]
+    for one, two in zip(*runs):
+        assert one.control_variate.tobytes() == two.control_variate.tobytes()
+        assert one.x_terminal.tobytes() == two.x_terminal.tobytes()
+
+
+def test_a_degenerate_fast_factor_runs_the_control_variate():
+    model = tanh_model(0.4, vol=0.0)
+    b = bundle_for(model, halfwidth=1.5)
+    est = estimate_value(model, ZerothOrder(b), b, cfg_for(model, n_paths=256, chunk_size=128))
+    assert np.all(b.averages.theta_gradient_table()[1] == 0.0)
+    assert math.isfinite(est.mean) and est.se > 0.0
+
+
+def test_theta_table_is_built_once_under_workers(monkeypatch):
+    builds = multiprocessing.Value("i", 0)  # shared, so a child's build would count
+    real = factors._tabulate_theta_gradient
+
+    def counting(*args):
+        with builds.get_lock():
+            builds.value += 1
+        return real(*args)
+
+    monkeypatch.setattr(factors, "_tabulate_theta_gradient", counting)
+    model = tanh_model(0.4)
+    for workers, expected in ((1, 1), (2, 2)):
+        b = bundle_for(model, halfwidth=1.5)
+        run_ensembles(model, [ZerothOrder(b)], b,
+                      cfg_for(model, n_paths=128, chunk_size=32, workers=workers))
+        run_ensembles(model, [ZerothOrder(b)], b.for_model(tanh_model(0.2)),
+                      cfg_for(tanh_model(0.2), n_paths=128, chunk_size=32, workers=workers))
+        assert builds.value == expected
+    # without the control variate nothing reads it
+    b = bundle_for(model, halfwidth=1.5)
+    run_ensembles(model, [ZerothOrder(b)], b,
+                  cfg_for(model, n_paths=128, chunk_size=32, workers=2, control_variate=False))
+    assert builds.value == 2
+
+
+def test_summarize_reports_the_raw_se_and_the_variance_ratio():
+    model = tanh_model(0.2)
+    b = bundle_for(model, halfwidth=1.5)
+    cfg = cfg_for(model, n_paths=1024, chunk_size=512)
+    ens = run_ensembles(model, [ZerothOrder(b)], b, cfg)[0]
+    with_cv = summarize(ens, cfg.chunk_size, control_variate=True)
+    raw = summarize(ens, cfg.chunk_size, control_variate=False)
+    assert with_cv.diagnostics["se_raw"] == raw.se == raw.diagnostics["se_raw"]
+    assert raw.diagnostics["cv_variance_ratio"] == 1.0
+    ratio = with_cv.diagnostics["cv_variance_ratio"]
+    assert ratio == (raw.se / with_cv.se) ** 2 and ratio > 10.0
