@@ -7,14 +7,16 @@ With tau = T - t:
 
     leading order        v
     fast correction      -(1/2) tau rho1 coupling(z) D1^2 v
-    slow correction      (1/2) tau^2 rho2 mean rms rms' g(z) D1^2 v
+    slow correction      (1/2) tau^2 rho2 P(z) D1^2 v,  P = mean rms rms' g
     combined             Q = v + sqrt(eps) * fast + sqrt(delta) * slow
 
 using the identity D1^2 v = R M_x (R_x - 1) (from R M_xx = -M_x) and the
 Vega-Gamma relation v_z = tau rms rms' D1 v, which makes every correction a
-closed form in quantities the Merton solver already provides.  The control
-variate's Q_z takes d/dz D1^2 v = k^2 v_z, k = R_x - 1: exact for a power
-utility, and for any other an approximation that moves only the CV's variance.
+closed form in quantities the Merton solver already provides.  coupling and P
+are factor-table columns, so Q's prefactor of D1^2 v is one cubic in z per
+step, whose slope feeds the control variate's Q_z.  Q_z takes d/dz D1^2 v =
+k^2 v_z, k = R_x - 1: exact for a power utility, and for any other an
+approximation that moves only the CV's variance.
 The second-order fast term eps phi2 = -(eps/2) theta(y, z) D1 v never enters
 Q (``second_order_fast_diag`` exposes phi2 as an expansion-quality
 diagnostic), but its y-gradient Q_y = -(eps/2) theta_y D1 v feeds the control
@@ -31,7 +33,7 @@ import copy
 
 import numpy as np
 
-from .factors import FactorAverages, MarketModel, PoissonSolution
+from .factors import TABLE_COLUMNS, FactorAverages, MarketModel, PoissonSolution
 from .merton import MertonTable, _DualCore, merton_pack, solve_merton
 from .utility import UtilitySpec
 
@@ -64,7 +66,9 @@ class ExpansionBundle:
 
     def for_model(self, model: MarketModel) -> ExpansionBundle:
         """This bundle under another model with the same factor averages, sharing
-        the averages, the dual and the engine's Merton table instead of rebuilding."""
+        the averages, the dual and the engine's Merton table instead of rebuilding.
+        The averages hold the model's sharpe, fast factor and slow_vol, so the
+        models may differ only in epsilon and delta."""
         other = copy.copy(self)
         other.model = model
         return other
@@ -76,7 +80,7 @@ class ExpansionBundle:
         whose s-range covers lam = sharpe_rms anywhere on the z-grid at any
         t, built once (the engine builds it before forking its chunk processes)."""
         if self._dual is not None and self._table is None:
-            rms = self.averages.table(self.averages.z_grid, slopes=False)[0]
+            rms = self.averages.table(self.averages.z_grid)[0]
             s_max = float(np.max(rms))**2 * self.horizon
             self._table = MertonTable(self._dual, s_max or 1.0)  # any box holds s = 0
         return self._table
@@ -120,35 +124,19 @@ class ExpansionBundle:
         p = self._surface(t, x, z, order=3)
         return p["r"] * p["m_x"]
 
-    def _prefactors(self, t, z, row, slopes=False):
-        """Prefactors of D1^2 v in the corrections, from a FactorAverages.table row:
-        fast -(1/2) tau rho1 coupling, slow (1/2) tau^2 rho2 mean rms rms' g, and
-        with ``slopes`` their z-derivatives."""
+    def _prefactors(self, t):
+        """Multipliers of the coupling and slow_prefactor columns in the fast and
+        slow prefactors of D1^2 v: -(1/2) tau rho1 and (1/2) tau^2 rho2."""
         tau = self.horizon - t
-        rms, mean, rms_p, coup = row[:4]
-        gz = np.asarray(self.model.slow_vol(z))
-        c_fast = -0.5 * tau * self.model.rho1
-        c_slow = 0.5 * tau**2 * self.model.rho2
-        prefs = (c_fast * coup, c_slow * mean * rms * rms_p * gz)
-        if not slopes:
-            return prefs
-        mean_p, rms_pp, coup_p = row[4:]
-        gz_p = np.asarray(self.model.slow_vol_d1(z))
-        slow_z = c_slow * (
-            mean_p * rms * rms_p * gz
-            + mean * rms_p**2 * gz
-            + mean * rms * rms_pp * gz
-            + mean * rms * rms_p * gz_p
-        )
-        return prefs + (c_fast * coup_p, slow_z)
+        return -0.5 * tau * self.model.rho1, 0.5 * tau**2 * self.model.rho2
 
     def _corrections(self, t, x, z):
         """Leading-order pack and the fast and slow first-order corrections."""
-        row = self.averages.table(z, slopes=False)
+        row = self.averages.table(z)
         p = self._surface(t, x, z, order=3, rms=row[0])
         d1sq = p["r"] * p["m_x"] * (p["r_x"] - 1.0)  # D1^2 v
-        fast, slow = self._prefactors(t, z, row)
-        return p, fast * d1sq, slow * d1sq
+        c_fast, c_slow = self._prefactors(t)
+        return p, c_fast * row[3] * d1sq, c_slow * row[4] * d1sq
 
     def fast_correction(self, t, x, z):
         """First-order correction from the fast factor (vanishes at t = T)."""
@@ -198,23 +186,25 @@ class ExpansionBundle:
 
     # -- gradients for the martingale control variate ---------------------------
 
-    def q_coefficients(self, t, z, row, theta_y):
-        """The wealth-free coefficients of ``q_gradients`` from a
-        FactorAverages.lookup: a = sqrt(eps) fast + sqrt(delta) slow, its
-        z-slope b, tau rms rms', rms, and -(eps/2) theta_y.  The engine
-        computes them once per step for every strategy."""
-        fast, slow, fast_z, slow_z = self._prefactors(t, z, row, slopes=True)
-        se, sd = np.sqrt(self.model.epsilon), np.sqrt(self.model.delta)
-        return (se * fast + sd * slow, se * fast_z + sd * slow_z,
-                (self.horizon - t) * row[0] * row[2], row[0],
+    def q_coefficients(self, t, y, z):
+        """The wealth-free coefficients of ``q_gradients`` at the points (y, z):
+        a = sqrt(eps) fast + sqrt(delta) slow per unit D1^2 v, one cubic in z
+        combined from two table columns, its slope b, tau rms rms', rms, and
+        -(eps/2) theta_y.  The engine calls this once per step for every
+        strategy."""
+        c_fast, c_slow = self._prefactors(t)
+        weights = np.zeros(len(TABLE_COLUMNS))
+        weights[3:] = np.sqrt(self.model.epsilon) * c_fast, np.sqrt(self.model.delta) * c_slow
+        a, b, rms, rms_p, theta_y = self.averages.cv_lookup(weights, y, z)
+        return (a, b, (self.horizon - t) * rms * rms_p, rms,
                 -0.5 * self.model.epsilon * theta_y)
 
     def q_gradients(self, t, x, y, z, coefs=None):
         """(Q_x, Q_z, Q_y) from one derivative pack; feeds the control variate.
 
-        ``coefs`` is ``q_coefficients(t, z, *averages.lookup(y, z))`` when the
-        caller holds it.  With k = R_x - 1, D1^2 v = k D1 v and d/dx D1^2 v =
-        M_x (k^2 + R R_xx), so Q_x is exact.  Q_z uses the Vega-Gamma identity
+        ``coefs`` is ``q_coefficients(t, y, z)`` when the caller holds it.  With
+        k = R_x - 1, D1^2 v = k D1 v and d/dx D1^2 v = M_x (k^2 + R R_xx), so
+        Q_x is exact.  Q_z uses the Vega-Gamma identity
         v_z = tau rms rms' D1 v and takes d/dz D1^2 v = k^2 v_z: exact for a
         power, where k is constant, and elsewhere an approximation that, since
         Q_z only multiplies Brownian increments, moves the CV's variance alone.
@@ -222,7 +212,7 @@ class ExpansionBundle:
         term, with theta_y from the factor table.
         """
         if coefs is None:
-            coefs = self.q_coefficients(t, z, *self.averages.lookup(y, z))
+            coefs = self.q_coefficients(t, y, z)
         a, b, c, rms, e = coefs
         p = self._surface(t, x, z, order=4, rms=rms, table=True)
         k = p["r_x"] - 1.0

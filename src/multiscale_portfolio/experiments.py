@@ -360,14 +360,12 @@ def _registry_get(registry, name, params, what):
 
 
 def build_model(cfg: RunConfig, epsilon: float, delta: float) -> MarketModel:
-    g, g1 = _registry_get(SLOW_VOL_REGISTRY, cfg.slow_vol_name, cfg.slow_vol_params, "slow_vol")
     return MarketModel(
         sharpe=_registry_get(SHARPE_REGISTRY, cfg.sharpe_name, cfg.sharpe_params, "sharpe"),
         sigma=_registry_get(SIGMA_REGISTRY, cfg.sigma_name, cfg.sigma_params, "sigma"),
         fast=OrnsteinUhlenbeckFactor(mean=cfg.fast_mean, vol=cfg.fast_vol),
         slow_drift=_registry_get(SLOW_DRIFT_REGISTRY, cfg.slow_drift_name, cfg.slow_drift_params, "slow_drift"),
-        slow_vol=g,
-        slow_vol_d1=g1,
+        slow_vol=_registry_get(SLOW_VOL_REGISTRY, cfg.slow_vol_name, cfg.slow_vol_params, "slow_vol"),
         rho1=cfg.rho1,
         rho2=cfg.rho2,
         rho12=cfg.rho12,
@@ -671,9 +669,8 @@ def invariant_suite(cfg: RunConfig) -> list[dict]:
                      bool(np.all(pack["m_x"] > 0) and np.all(pack["m_xx"] < 0))))
     term = float(np.max(np.abs(dual.value(1.0, xs) - power.u(xs))))
     rows.append(_row("merton_terminal_condition", term, 0.0, term == 0.0))
-    rows.append(_row("merton_zero_sharpe_is_utility",
-                     float(np.max(np.abs(solve_merton(power, 0.0, 1.0).value(0.4, xs) - power.u(xs)))),
-                     0.0, True))
+    zero = float(np.max(np.abs(solve_merton(power, 0.0, 1.0).value(0.4, xs) - power.u(xs))))
+    rows.append(_row("merton_zero_sharpe_is_utility", zero, 0.0, zero == 0.0))
     lam_lo = solve_merton(power, 0.3, 1.0).value(0.2, xs)
     lam_hi = solve_merton(power, 0.9, 1.0).value(0.2, xs)
     rows.append(_row("merton_monotone_in_sharpe", float(np.max(lam_lo - lam_hi)), 0.0,

@@ -16,6 +16,7 @@ z-indexed quantities the expansion needs:
     sharpe_mean(z)  = <lam(., z)>
     corrector       theta(., z) solving  L0 theta = lam^2 - sharpe_rms^2
     coupling(z)     = <lam(., z) a(.) theta_y(., z)>
+    slow_prefactor  P(z) = sharpe_mean(z) sharpe_rms(z) sharpe_rms'(z) g(z)
 
 The corrector gradient uses the stationary-flux integral form
 
@@ -116,8 +117,9 @@ class MarketModel:
     """Coefficients, correlations and scales of the two-factor market.
 
     `sharpe` and `sigma` are callables (y, z) -> value supporting numpy
-    broadcasting; `slow_drift` is c(z); `slow_vol` and `slow_vol_d1` are g
-    and its derivative.  The model is
+    broadcasting; `slow_drift` is c(z) and `slow_vol` is g(z), whose
+    z-derivative the expansion takes from its tabulated product with the
+    factor averages (``FactorAverages.slow_prefactor``).  The model is
     immutable and validated on construction (positive scales, positive
     volatility on a sampled compact, positive-definite correlations).
     """
@@ -127,7 +129,6 @@ class MarketModel:
     fast: OrnsteinUhlenbeckFactor = field(default_factory=OrnsteinUhlenbeckFactor)
     slow_drift: Callable = lambda z: np.zeros(np.shape(z))
     slow_vol: Callable = lambda z: np.zeros(np.shape(z))
-    slow_vol_d1: Callable = lambda z: np.zeros(np.shape(z))
     rho1: float = 0.0
     rho2: float = 0.0
     rho12: float = 0.0
@@ -274,7 +275,7 @@ def _rms_sharpe_exact(model, z):
 
 
 def _node_values(model: MarketModel, z: float) -> tuple[float, float, float, float]:
-    """The tabulated averages at one node, by quadrature; the rms slope by a
+    """The four averages at one node, by quadrature; the rms slope by a
     Richardson-extrapolated central difference."""
     def rms(zz):
         return _rms_sharpe_exact(model, zz)
@@ -283,25 +284,26 @@ def _node_values(model: MarketModel, z: float) -> tuple[float, float, float, flo
 
 
 TABLE_COLUMNS = ("sharpe_rms", "sharpe_mean", "sharpe_rms_slope", "coupling",
-                 "sharpe_mean_slope", "sharpe_rms_curve", "coupling_slope")
-_N_VALUES = 4  # the tabulated averages; the last three columns are their z-slopes
+                 "slow_prefactor")
 
 
 class FactorAverages:
     """z-indexed averaged quantities (TABLE_COLUMNS), tabulated on a uniform z-grid.
 
-    The four averages are computed by quadrature at the grid nodes and
-    stacked into one not-a-knot cubic, so ``table(z)`` costs one interval
-    lookup and one Horner pass for all seven columns (recomputing the
-    quadratures inside a Monte Carlo step loop would dominate the runtime);
-    z off the grid is an error, never an extrapolation.  The module-level
-    quadrature functions remain the reference the table is checked against.
+    The four averages are computed by quadrature at the grid nodes, and the
+    slow prefactor P is their product with slow_vol there, so its slope
+    carries g'.  All five are one not-a-knot cubic: ``table(z)`` costs one
+    interval lookup and one Horner pass (recomputing the quadratures inside a
+    Monte Carlo step loop would dominate the runtime), and a z-slope is the
+    slope of its column's cubic.  z off the grid is an error, never an
+    extrapolation.  The module-level quadrature functions remain the
+    reference the table is checked against.
 
     The corrector gradient theta_y(y, z), which the control variate reads,
     comes from a second table at the same z-nodes, built on first use
-    (``theta_gradient_table``): ``lookup(y, z)`` returns both for one
-    interval search, taking theta_y at the nearest z-node and linearly in y,
-    held at its end values beyond the y-grid.
+    (``theta_gradient_table``): ``cv_lookup`` returns it with weighted columns
+    for one interval search, taking theta_y at the nearest z-node and
+    linearly in y, held at its end values beyond the y-grid.
     """
 
     def __init__(self, model: MarketModel, z_grid: np.ndarray):
@@ -314,8 +316,9 @@ class FactorAverages:
         self.model = model
         self.z_grid = z_grid
         nodes = np.array([_node_values(model, z) for z in z_grid])
-        # _coef[column, k, i] multiplies (z - z_i)^(3 - k) on interval i
-        self._coef = np.ascontiguousarray(CubicSpline(z_grid, nodes).c.transpose(2, 0, 1))
+        nodes = np.column_stack([nodes, np.prod(nodes[:, :3], axis=1) * model.slow_vol(z_grid)])
+        # _coef[k, column, i] multiplies (z - z_i)^(3 - k) on interval i
+        self._coef = np.ascontiguousarray(CubicSpline(z_grid, nodes).c.transpose(0, 2, 1))
         self._inv_step = 1.0 / step
         self._half_step = 0.5 * step
         self._theta = None  # (y_grid, table), built on first use
@@ -330,17 +333,8 @@ class FactorAverages:
             )
         # uniform grid: the interval index is arithmetic, and z >= lo keeps it >= 0
         idx = np.minimum(((z - lo) * self._inv_step).astype(np.intp),
-                         self._coef.shape[2] - 1)
+                         self._coef.shape[-1] - 1)
         return idx, z - self.z_grid[idx]
-
-    def _columns(self, idx, dx, slopes):
-        out = np.empty((len(TABLE_COLUMNS) if slopes else _N_VALUES, idx.size))
-        for j in range(_N_VALUES):
-            c3, c2, c1, c0 = self._coef[j].take(idx, axis=1)  # one gather per column
-            out[j] = ((c3 * dx + c2) * dx + c1) * dx + c0
-            if slopes and j:  # the slope of column j is column 3 + j
-                out[_N_VALUES - 1 + j] = (3.0 * c3 * dx + 2.0 * c2) * dx + c1
-        return out
 
     def _theta_at(self, y, idx, dx):
         y_grid, table = self.theta_gradient_table()
@@ -352,12 +346,21 @@ class FactorAverages:
         below = table.take(j)
         return below + frac * (table.take(j + 1) - below)
 
-    def table(self, z, slopes: bool = True) -> np.ndarray:
-        """TABLE_COLUMNS at z, shape (7,) + shape(z); only the four averages
-        without ``slopes``.  Raises ValueError for z off the grid."""
+    def _cubic(self, column, z, *, slope):
+        """Column(s) of the cubic, or their z-slopes, at z (any shape)."""
         z = np.asarray(z, dtype=float)
-        out = self._columns(*self._locate(z.reshape(-1)), slopes)
-        return out.reshape(out.shape[:1] + z.shape)
+        idx, dx = self._locate(z.reshape(-1))
+        c3, c2, c1, c0 = self._coef[:, column].take(idx, axis=-1)  # one gather
+        if slope:
+            out = (3.0 * c3 * dx + 2.0 * c2) * dx + c1
+        else:
+            out = ((c3 * dx + c2) * dx + c1) * dx + c0
+        return out.reshape(out.shape[:-1] + z.shape)
+
+    def table(self, z) -> np.ndarray:
+        """TABLE_COLUMNS at z, shape (5,) + shape(z).  Raises ValueError for z
+        off the grid."""
+        return self._cubic(slice(None), z, slope=False)
 
     def theta_gradient_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(y_grid, theta_y at (z-node, y)), built once on first use; a run on
@@ -366,48 +369,55 @@ class FactorAverages:
             self._theta = _tabulate_theta_gradient(self.model, self.z_grid)
         return self._theta
 
-    def lookup(self, y, z) -> tuple[np.ndarray, np.ndarray]:
-        """(table(z), theta_y(y, z)) from one interval search, in the shape of
-        y and z broadcast together: the engine's one factor lookup per step.
-        Raises ValueError for z off the grid."""
+    def cv_lookup(self, weights, y, z) -> tuple[np.ndarray, ...]:
+        """(s, s_z, sharpe_rms, sharpe_rms_slope, theta_y) at the points (y, z),
+        in their broadcast shape, from one interval search: s is the sum of
+        weights[j] times column j, combined once on the cubic's coefficients,
+        and s_z that cubic's slope.  The control variate's one factor lookup
+        per step.  Raises ValueError for z off the grid."""
         y, z = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(z, dtype=float))
         idx, dx = self._locate(z.reshape(-1))
-        out = self._columns(idx, dx, True)
-        return (out.reshape(out.shape[:1] + z.shape),
-                self._theta_at(y.reshape(-1), idx, dx).reshape(z.shape))
-
-    def _column(self, j, z):
-        return self.table(z, slopes=j >= _N_VALUES)[j]
+        mixed = np.tensordot(weights, self._coef, axes=(0, 1))
+        coef = np.stack([mixed, self._coef[:, 0], self._coef[:, 2]], axis=1)
+        c3, c2, c1, c0 = coef.take(idx, axis=-1)
+        s, rms, rms_p = ((c3 * dx + c2) * dx + c1) * dx + c0
+        s_z = (3.0 * c3[0] * dx + 2.0 * c2[0]) * dx + c1[0]
+        theta_y = self._theta_at(y.reshape(-1), idx, dx)
+        return tuple(v.reshape(z.shape) for v in (s, s_z, rms, rms_p, theta_y))
 
     # -- public surface -------------------------------------------------------
 
     def sharpe_rms(self, z):
         """sqrt(<lam^2(., z)>), the Sharpe ratio the leading-order value sees."""
-        return self._column(0, z)
+        return self._cubic(0, z, slope=False)
 
     def sharpe_mean(self, z):
         """<lam(., z)>."""
-        return self._column(1, z)
+        return self._cubic(1, z, slope=False)
 
     def sharpe_rms_slope(self, z):
         """d/dz of sharpe_rms, tabulated from Richardson-extrapolated differences."""
-        return self._column(2, z)
+        return self._cubic(2, z, slope=False)
 
     def coupling(self, z):
         """<lam a theta_y>(z)."""
-        return self._column(3, z)
+        return self._cubic(3, z, slope=False)
+
+    def slow_prefactor(self, z):
+        """P(z) = sharpe_rms sharpe_mean sharpe_rms_slope g(z)."""
+        return self._cubic(4, z, slope=False)
 
     def sharpe_mean_slope(self, z):
         """d/dz of sharpe_mean."""
-        return self._column(4, z)
+        return self._cubic(1, z, slope=True)
 
     def sharpe_rms_curve(self, z):
         """Second z-derivative of sharpe_rms."""
-        return self._column(5, z)
+        return self._cubic(2, z, slope=True)
 
     def coupling_slope(self, z):
         """d/dz of coupling."""
-        return self._column(6, z)
+        return self._cubic(3, z, slope=True)
 
 
 def _tabulate_theta_gradient(model: MarketModel, z_grid: np.ndarray):
@@ -524,22 +534,8 @@ SLOW_DRIFT_REGISTRY = {
     "mean_revert": lambda p: (lambda z, q=_need(p, 2, "mean_revert"): q[0] * (q[1] - np.asarray(z, dtype=float))),
 }
 
-
-def _const_slow_vol(p):
-    (g0,) = _need(p, 1, "const")
-    return (
-        lambda z: np.full(np.shape(z), g0),
-        lambda z: np.zeros(np.shape(z)),
-    )
-
-
-def _affine_slow_vol(p):
-    g0, g1 = _need(p, 2, "affine")
-    return (
-        lambda z: g0 + g1 * np.asarray(z, dtype=float),
-        lambda z: np.full(np.shape(z), g1),
-    )
-
-
-# name -> params -> (g, g'): the slow factor's vol and its z-derivative
-SLOW_VOL_REGISTRY = {"const": _const_slow_vol, "affine": _affine_slow_vol}
+SLOW_VOL_REGISTRY = {
+    "const": lambda p: (lambda z, q=_need(p, 1, "const"): np.full(np.shape(z), q[0])),
+    # g(z) = p0 + p1 z
+    "affine": lambda p: (lambda z, q=_need(p, 2, "affine"): q[0] + q[1] * np.asarray(z, dtype=float)),
+}

@@ -360,12 +360,9 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
         mu = lam * sig
         gz = model.slow_vol(z)
         # one factor lookup and one set of CV coefficients per step, for every strategy
-        tab = coefs = None
-        if cfg.control_variate:
-            tab, theta_y = bundle.averages.lookup(y, z)
-            coefs = bundle.q_coefficients(t, z, tab, theta_y)
+        coefs = bundle.q_coefficients(t, y, z) if cfg.control_variate else None
         if tabulated:
-            rms = tab[0] if tab is not None else bundle.averages.sharpe_rms(z)
+            rms = coefs[3] if coefs is not None else bundle.averages.sharpe_rms(z)
 
         for strat, rec in zip(strategies, recs):
             x = rec.x_terminal

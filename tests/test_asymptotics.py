@@ -23,12 +23,11 @@ MIXTURE = make_utility("power_mixture", weights=(1.0, 1.0), exponents=(0.5, 0.25
 
 
 def make_bundle(sharpe_name, sharpe_params, utility=POWER_HALF, nu=0.5, horizon=1.0,
-                g0=0.4, **kwargs):
-    g, g1 = SLOW_VOL_REGISTRY["const"]([g0])
+                slow_vol=("const", [0.4]), **kwargs):
     defaults = dict(
         sigma=SIGMA_REGISTRY["const"]([0.5]),
         fast=OrnsteinUhlenbeckFactor(mean=0.0, vol=nu),
-        slow_vol=g, slow_vol_d1=g1,
+        slow_vol=SLOW_VOL_REGISTRY[slow_vol[0]](slow_vol[1]),
         epsilon=0.1, delta=0.1,
     )
     defaults.update(kwargs)
@@ -68,7 +67,7 @@ def test_fast_correction_vanishes_without_correlation_or_at_horizon():
 
 def test_slow_correction_power_formula():
     # lam = z: rms = z, mean = z, rms' = 1 for z > 0
-    b = make_bundle("affine_z", [0.0, 1.0], rho2=-0.3, g0=0.4)
+    b = make_bundle("affine_z", [0.0, 1.0], rho2=-0.3, slow_vol=("const", [0.4]))
     t, x, z = 0.3, 1.3, 1.2
     tau = 0.7
     m = b.leading_order(t, x, z)
@@ -191,13 +190,16 @@ def test_q_gradient_x_matches_finite_difference():
 
 
 def test_q_gradient_z_matches_finite_difference():
-    b = make_bundle("affine_z_tanh_y", [0.5, 0.25, 0.35], rho1=-0.5, rho2=-0.4)
+    # an affine g moves Q_z through g' by about 1e-2 relative at these points
     t, x = 0.3, 1.2
     h = 1e-5
-    for z in (-0.2, 0.0, 0.3):
-        fd = (b.first_order_value(t, x, z + h) - b.first_order_value(t, x, z - h)) / (2 * h)
-        qz = float(b.q_gradients(t, np.array([x]), np.array([0.3]), np.array([z]))[1][0])
-        assert qz == pytest.approx(float(fd), rel=1e-5)
+    for slow_vol in (("const", [0.4]), ("affine", [0.4, 0.5])):
+        b = make_bundle("affine_z_tanh_y", [0.5, 0.25, 0.35], rho1=-0.5, rho2=-0.4,
+                        slow_vol=slow_vol)
+        for z in (-0.2, 0.0, 0.3):
+            fd = (b.first_order_value(t, x, z + h) - b.first_order_value(t, x, z - h)) / (2 * h)
+            qz = float(b.q_gradients(t, np.array([x]), np.array([0.3]), np.array([z]))[1][0])
+            assert qz == pytest.approx(float(fd), rel=1e-5), slow_vol
 
 
 @pytest.mark.parametrize("utility", [POWER_HALF, MIXTURE], ids=["power", "mixture"])
@@ -229,14 +231,12 @@ def test_q_gradients_with_a_masked_shared_row_are_exact(utility):
     y = rng.normal(0.0, 0.5, 64)
     x = np.exp(rng.normal(0.0, 0.3, 64))
     alive = rng.random(64) < 0.7
-    row, theta_y = cached.averages.lookup(y, z)
     shared = cached.q_gradients(0.3, x[alive], y[alive], z[alive],
-                                cached.q_coefficients(0.3, z[alive], row[:, alive],
-                                                      theta_y[alive]))
+                                cached.q_coefficients(0.3, y[alive], z[alive]))
     own = cached.q_gradients(0.3, x[alive], y[alive], z[alive])
     assert all(np.array_equal(s, o) for s, o in zip(shared, own))
     # one set of coefficients per step serves every strategy's wealth, masked or not
-    step = cached.q_coefficients(0.3, z, row, theta_y)
+    step = cached.q_coefficients(0.3, y, z)
     masked = tuple(c[alive] for c in step)
     assert all(np.array_equal(s, o) for s, o in
                zip(cached.q_gradients(0.3, x[alive], y[alive], z[alive], masked), own))
@@ -269,7 +269,7 @@ def test_mixture_engine_terms_read_the_table_and_the_value_the_dual():
     b = make_bundle("affine_z_tanh_y", [0.5, 0.25, 0.35], utility=MIXTURE, rho1=-0.5, rho2=-0.4)
     table = b.merton_table()
     assert table is b.merton_table()  # built once
-    rms = b.averages.table(b.averages.z_grid, slopes=False)[0]
+    rms = b.averages.table(b.averages.z_grid)[0]
     assert table.s_max == np.max(rms) ** 2 * b.horizon
     t, x, z = 0.3, np.array([1e-6, 0.5, 2.0]), np.array([0.1, -0.2, 0.3])
     lam = b.averages.sharpe_rms(z)

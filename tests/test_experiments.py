@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from multiscale_portfolio import experiments
 from multiscale_portfolio.experiments import (
     ConfigError,
     DEFAULT_CONFIG_TEXT,
@@ -221,6 +222,21 @@ def test_invariant_suite_all_pass(small_cfg):
     assert len(rows) >= 20
     failing = [r["name"] for r in rows if r["verdict"] != "PASS"]
     assert failing == []
+
+
+def test_invariant_suite_fails_a_zero_sharpe_value_off_the_utility(monkeypatch, small_cfg):
+    real = experiments.solve_merton
+
+    def shifted(utility, sharpe, horizon, **kwargs):
+        sol = real(utility, sharpe, horizon, **kwargs)
+        if sharpe == 0.0:
+            value = sol.value
+            sol.value = lambda t, x: value(t, x) + 1e-12
+        return sol
+
+    monkeypatch.setattr(experiments, "solve_merton", shifted)
+    row = {r["name"]: r for r in invariant_suite(small_cfg)}["merton_zero_sharpe_is_utility"]
+    assert row["verdict"] == "FAIL" and row["measured"] > 0.0
 
 
 # -- reports ----------------------------------------------------------------------

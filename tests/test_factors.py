@@ -195,17 +195,22 @@ def test_cauchy_schwarz_everywhere():
 
 
 def exact_columns(model):
-    """The first four TABLE_COLUMNS by the module quadrature functions."""
+    """TABLE_COLUMNS by the module quadrature functions and the model's slow_vol."""
     def rms(z):
         return _rms_sharpe_exact(model, z)
-    return (rms, lambda z: invariant_average(model, model.sharpe, z),
-            lambda z: richardson_derivative(rms, z, 1, 1e-4 * max(1.0, abs(z))),
-            lambda z: fast_coupling(model, z))
+
+    def mean(z):
+        return invariant_average(model, model.sharpe, z)
+
+    def rms_slope(z):
+        return richardson_derivative(rms, z, 1, 1e-4 * max(1.0, abs(z)))
+    return (rms, mean, rms_slope, lambda z: fast_coupling(model, z),
+            lambda z: mean(z) * rms(z) * rms_slope(z) * float(model.slow_vol(z)))
 
 
 def test_cached_grid_matches_exact():
     model = make_model("affine_z_tanh_y", [0.5, 0.25, 0.35], nu=0.7)
-    rms, mean, rms_slope, coupling = exact_columns(model)
+    rms, mean, rms_slope, coupling, _ = exact_columns(model)
     cached = averaged_sharpe(model, z_grid=z_cache_grid(0.0, 1.5))
     zs = np.linspace(-1.2, 1.2, 9)
     for z in zs:
@@ -216,7 +221,8 @@ def test_cached_grid_matches_exact():
 
 
 def test_table_matches_exact_off_nodes():
-    model = make_model("affine_z_tanh_y", [0.5, 0.25, 0.35], nu=0.7)
+    model = make_model("affine_z_tanh_y", [0.5, 0.25, 0.35], nu=0.7,
+                       slow_vol=SLOW_VOL_REGISTRY["affine"]([0.8, 0.3]))
     exact = exact_columns(model)
     cached = averaged_sharpe(model, z_grid=z_cache_grid(0.0, 1.5))
     grid = cached.z_grid
@@ -224,14 +230,15 @@ def test_table_matches_exact_off_nodes():
     zs = mid[np.abs(mid) <= 1.2][::20]  # off-node points inside the visited range
     tab = cached.table(zs)
     assert tab.shape == (len(TABLE_COLUMNS), zs.size)
-    for name, row, rel, f in zip(TABLE_COLUMNS, tab, (1e-9, 1e-9, 1e-6, 1e-7), exact):
+    for name, row, rel, f in zip(TABLE_COLUMNS, tab, (1e-9, 1e-9, 1e-6, 1e-7, 1e-6), exact):
         for z, got in zip(zs, row):
             assert got == pytest.approx(f(z), rel=rel)
         assert np.array_equal(getattr(cached, name)(zs), row)
-    # slope columns: central differences of the table's own value columns
+    # slope accessors: central differences of the table's own value columns
     h = 1e-5
-    fd = (cached.table(zs + h, slopes=False) - cached.table(zs - h, slopes=False)) / (2 * h)
-    np.testing.assert_allclose(tab[4:], fd[1:], rtol=1e-6, atol=1e-9)
+    fd = (cached.table(zs + h) - cached.table(zs - h)) / (2 * h)
+    slopes = [cached.sharpe_mean_slope(zs), cached.sharpe_rms_curve(zs), cached.coupling_slope(zs)]
+    np.testing.assert_allclose(slopes, fd[1:4], rtol=1e-6, atol=1e-9)
 
 
 def test_cached_grid_must_be_uniform():
@@ -253,23 +260,23 @@ def test_table_builds_share_one_gauss_legendre_rule(monkeypatch):
 def test_slow_factor_range_follows_drift_and_noise():
     s = 0.4
     target = SLOW_DRIFT_REGISTRY["mean_revert"]([1.0, 1.0])
-    still = SLOW_VOL_REGISTRY["const"]([0.0])[0]
+    still = SLOW_VOL_REGISTRY["const"]([0.0])
     lo, hi = slow_factor_range(target, still, 0.0, s)
     assert lo == 0.0 and hi == pytest.approx(1.0 - math.exp(-s), rel=1e-6)
     # zero drift, affine g = g0 + g1 z: the width w solves w = 6 sqrt(s) (g0 + g1 w)
     g0, g1 = 0.5, 0.1
-    affine = SLOW_VOL_REGISTRY["affine"]([g0, g1])[0]
+    affine = SLOW_VOL_REGISTRY["affine"]([g0, g1])
     lo, hi = slow_factor_range(SLOW_DRIFT_REGISTRY["zero"]([]), affine, 0.0, s)
     k = 6.0 * math.sqrt(s)
     assert -lo == hi == pytest.approx(k * g0 / (1.0 - k * g1), rel=1e-8)
     # a repelling drift grows the noise band by exp(s |k|)
     repel = SLOW_DRIFT_REGISTRY["mean_revert"]([-0.5, 0.0])
-    flat = SLOW_VOL_REGISTRY["const"]([0.1])[0]
+    flat = SLOW_VOL_REGISTRY["const"]([0.1])
     lo, hi = slow_factor_range(repel, flat, 0.0, s)
     assert hi == -lo == pytest.approx(k * 0.1 * math.exp(0.5 * s), rel=1e-12)
     with pytest.raises(ValueError, match="unbounded"):
         slow_factor_range(SLOW_DRIFT_REGISTRY["zero"]([]),
-                          SLOW_VOL_REGISTRY["affine"]([0.5, 1.0])[0], 0.0, s)
+                          SLOW_VOL_REGISTRY["affine"]([0.5, 1.0]), 0.0, s)
 
 
 def test_source_centering_enforced():
@@ -283,6 +290,11 @@ def test_source_centering_enforced():
 
 REGISTRY_PARAMS = {"const": [0.5], "affine_z": [0.5, 0.25],
                    "affine_z_tanh_y": [0.5, 0.25, 0.35], "prop_y": [1.0], "prop_yz": [1.0]}
+
+
+def cv_theta_y(averages, y, z):
+    """theta_y(y, z) as the control variate's lookup returns it."""
+    return averages.cv_lookup(np.zeros(len(TABLE_COLUMNS)), y, z)[-1]
 
 
 @pytest.fixture(scope="module")
@@ -311,7 +323,7 @@ def test_theta_gradient_table_certificate(theta_averages, name, u, v):
     z_lo, z_hi = averages.z_grid[[0, -1]]
     y = float(y_grid[0] + u * (y_grid[-1] - y_grid[0]))
     z = float(z_lo + v * (z_hi - z_lo))
-    got = float(averages.lookup(y, z)[1])
+    got = float(cv_theta_y(averages, y, z))
     node = averages.z_grid[int(np.argmin(np.abs(averages.z_grid - z)))]
     assert abs(got - PoissonSolution(averages.model, node).gradient(y)) <= 1e-4
     assert abs(got - PoissonSolution(averages.model, z).gradient(y)) <= 5e-3
@@ -324,10 +336,10 @@ def test_theta_gradient_table_is_the_reference_at_the_nodes(theta_averages):
         ref = PoissonSolution(averages.model, averages.z_grid[k]).gradient(y_grid)
         np.testing.assert_allclose(table[k], ref, rtol=0.0, atol=1e-12)
         # at a node, the lookup returns the table entry (to the rounding of y's offset)
-        got = averages.lookup(y_grid, np.full(y_grid.size, averages.z_grid[k]))[1]
+        got = cv_theta_y(averages, y_grid, np.full(y_grid.size, averages.z_grid[k]))
         np.testing.assert_allclose(got, table[k], rtol=1e-12, atol=1e-15)
     with pytest.raises(ValueError, match="outside the cached z-grid"):
-        averages.lookup(0.0, 1.0)
+        cv_theta_y(averages, 0.0, 1.0)
 
 
 def test_lookup_is_the_table_row_and_theta_y_at_the_nearest_node(theta_averages):
@@ -337,8 +349,14 @@ def test_lookup_is_the_table_row_and_theta_y_at_the_nearest_node(theta_averages)
     z = rng.uniform(-0.3, 0.3, 50)
     y = rng.normal(0.0, 2.0, 50)  # some beyond the y-grid's 4, where the end value holds
     assert np.any(np.abs(y) > y_grid[-1])
-    row, theta_y = averages.lookup(y, z)
-    assert np.array_equal(row, averages.table(z))
+    weights = rng.normal(size=len(TABLE_COLUMNS))
+    s, s_z, rms, rms_p, theta_y = averages.cv_lookup(weights, y, z)
+    row = averages.table(z)
+    assert np.array_equal(rms, row[0]) and np.array_equal(rms_p, row[2])
+    # the weighted sum of the columns, and the slope of its cubic
+    np.testing.assert_allclose(s, weights @ row, rtol=1e-12, atol=1e-14)
+    slopes = averages._cubic(slice(None), z, slope=True)
+    np.testing.assert_allclose(s_z, weights @ slopes, rtol=1e-12, atol=1e-13)
     nearest = np.argmin(np.abs(averages.z_grid[:, None] - z), axis=0)
     expected = [np.interp(yy, y_grid, table[k]) for yy, k in zip(y, nearest)]
     np.testing.assert_allclose(theta_y, expected, rtol=1e-12, atol=1e-15)
@@ -354,4 +372,4 @@ def test_degenerate_fast_factor_has_a_zero_theta_table(monkeypatch):
     monkeypatch.setattr(OrnsteinUhlenbeckFactor, "stationary_pdf", no_density)
     _, table = av.theta_gradient_table()
     assert np.all(table == 0.0)
-    assert np.all(av.lookup(np.array([-1.0, 1.0, 3.0]), np.array([0.0, 0.5, -1.0]))[1] == 0.0)
+    assert np.all(cv_theta_y(av, np.array([-1.0, 1.0, 3.0]), np.array([0.0, 0.5, -1.0])) == 0.0)

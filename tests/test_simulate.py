@@ -451,10 +451,10 @@ def test_cv_coefficients_are_computed_once_per_step_per_chunk(monkeypatch, n_str
     calls = multiprocessing.Value("i", 0)
     real = ExpansionBundle.q_coefficients
 
-    def counted(self, t, z, row, theta_y):
+    def counted(self, t, y, z):
         with calls.get_lock():
             calls.value += 1
-        return real(self, t, z, row, theta_y)
+        return real(self, t, y, z)
 
     monkeypatch.setattr(ExpansionBundle, "q_coefficients", counted)
     model = constant_model(eps=0.4, delta=0.4)
@@ -570,12 +570,12 @@ def test_chunk_counters_come_back_from_the_children():
 
 def tanh_model(eps=0.1, vol=0.7):
     """The reference scenario's coefficients: a Sharpe ratio that moves with y."""
-    g, g1 = SLOW_VOL_REGISTRY["const"]([0.75])
     return MarketModel(
         sharpe=SHARPE_REGISTRY["affine_z_tanh_y"]([0.5, 0.25, 0.35]),
         sigma=SIGMA_REGISTRY["const"]([0.5]),
         fast=OrnsteinUhlenbeckFactor(mean=0.0, vol=vol),
-        slow_drift=SLOW_DRIFT_REGISTRY["mean_revert"]([1.0, 0.0]), slow_vol=g, slow_vol_d1=g1,
+        slow_drift=SLOW_DRIFT_REGISTRY["mean_revert"]([1.0, 0.0]),
+        slow_vol=SLOW_VOL_REGISTRY["const"]([0.75]),
         rho1=-0.5, rho2=-0.4, rho12=0.1, epsilon=eps, delta=eps,
     )
 
