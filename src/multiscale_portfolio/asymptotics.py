@@ -30,6 +30,7 @@ the local Sharpe-to-vol ratio sized by the averaged risk tolerance.
 from __future__ import annotations
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 
@@ -64,13 +65,15 @@ class ExpansionBundle:
         self._dual = None if utility.is_power else _DualCore(utility)
         self._table = None
 
-    def for_model(self, model: MarketModel) -> ExpansionBundle:
-        """This bundle under another model with the same factor averages, sharing
-        the averages, the dual and the engine's Merton table instead of rebuilding.
-        The averages hold the model's sharpe, fast factor and slow_vol, so the
-        models may differ only in epsilon and delta."""
+    def with_scales(self, epsilon: float, delta: float) -> ExpansionBundle:
+        """This bundle at the scales (epsilon, delta), every other coefficient of
+        the model kept.  The scales enter only the corrections' sqrt(eps),
+        sqrt(delta) and eps, so the copy shares the factor averages (and their
+        theta_y table), the dual and the engine's Merton table, which is built
+        here first so that every copy holds the same one."""
+        self.merton_table()
         other = copy.copy(self)
-        other.model = model
+        other.model = replace(self.model, epsilon=epsilon, delta=delta)
         return other
 
     # -- Merton access ---------------------------------------------------------

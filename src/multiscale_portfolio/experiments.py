@@ -334,8 +334,7 @@ def load_run_config(source: str | Path) -> RunConfig:
     _check_sim(cfg)
     try:  # the constructors' checks, and a z-grid covering every z the slow factor reaches
         build_utility(cfg)
-        for eps, delta in zip(cfg.epsilons, cfg.deltas):
-            model = build_model(cfg, eps, delta)
+        model = build_model(cfg, cfg.epsilons[0], cfg.deltas[0])
         slow_factor_range(model.slow_drift, model.slow_vol, cfg.z0, max(cfg.deltas) * cfg.horizon)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -374,11 +373,9 @@ def build_model(cfg: RunConfig, epsilon: float, delta: float) -> MarketModel:
     )
 
 
-def build_bundle(cfg: RunConfig, model: MarketModel, previous=None) -> ExpansionBundle:
-    """Expansion bundle whose factor table covers every z the slow factor reaches;
-    it shares the scale-free tables of ``previous``, this config's at another point."""
-    if previous is not None:
-        return previous.for_model(model)
+def build_bundle(cfg: RunConfig, model: MarketModel) -> ExpansionBundle:
+    """Expansion bundle whose factor table covers every z the slow factor reaches
+    at any grid point; ``with_scales`` moves it to the other points."""
     lo, hi = slow_factor_range(model.slow_drift, model.slow_vol, cfg.z0,
                                max(cfg.deltas) * cfg.horizon)
     averages = averaged_sharpe(model, z_grid=z_cache_grid(0.5 * (lo + hi), 0.5 * (hi - lo)))
@@ -524,10 +521,10 @@ def residual_order_study(cfg: RunConfig) -> ResidualStudy:
     if error := _residual_grid_error(cfg):
         raise ValueError(error)
     rows = []
-    bundle = None
+    study_bundle = build_bundle(cfg, build_model(cfg, cfg.epsilons[0], cfg.deltas[0]))
     for eps, delta in zip(cfg.epsilons, cfg.deltas):
-        model = build_model(cfg, eps, delta)
-        bundle = build_bundle(cfg, model, previous=bundle)  # scale-free tables: one build
+        bundle = study_bundle.with_scales(eps, delta)  # scale-free tables: one build
+        model = bundle.model
         sim_cfg = sim_config_for(cfg, model)
         start = time.perf_counter()
         est = estimate_value(model, ZerothOrder(bundle), bundle, sim_cfg)
@@ -558,11 +555,11 @@ def residual_order_study(cfg: RunConfig) -> ResidualStudy:
 def optimality_study(cfg: RunConfig) -> OptimalityStudy:
     """Normalized value gap of challengers against the zeroth-order strategy."""
     rows = []
-    bundle = None
+    study_bundle = build_bundle(cfg, build_model(cfg, cfg.epsilons[0], cfg.deltas[0]))
     gaps_by_challenger: dict[str, list] = {}
     for eps, delta in zip(cfg.epsilons, cfg.deltas):
-        model = build_model(cfg, eps, delta)
-        bundle = build_bundle(cfg, model, previous=bundle)
+        bundle = study_bundle.with_scales(eps, delta)
+        model = bundle.model
         sim_cfg = sim_config_for(cfg, model)
         roster = build_challengers(cfg, model, bundle)
         start = time.perf_counter()

@@ -281,28 +281,25 @@ class MertonTable:
 # ---------------------------------------------------------------------------
 
 
-def _solve_finite_difference(
-    utility,
-    lam,
-    horizon,
-    x_min=1e-3,
-    x_max=1e3,
-    n_space=800,
-    n_time=400,
-    newton_tol=1e-11,
-    max_newton=50,
-):
+_FD_X_MIN, _FD_X_MAX = 1e-3, 1e3  # wealth range of the log-spaced grid
+_FD_N_SPACE = 800
+_FD_N_TIME = 400
+_FD_NEWTON_TOL = 1e-11  # a step's Newton residual, relative to the surface's largest value
+_FD_MAX_NEWTON = 50
+
+
+def _solve_finite_difference(utility, lam, horizon):
     """Implicit backward solve on a uniform log-wealth grid.
 
-    Boundary conditions: value pinned to U(x_min) at the lower edge (risk
+    Boundary conditions: value pinned to U(_FD_X_MIN) at the lower edge (risk
     tolerance vanishes at 0+, so the cash value is the correct limit there up
     to a boundary-layer error that decays into the domain), one-sided stencils
     preserving concavity at the upper edge.
     """
-    xi = np.linspace(np.log(x_min), np.log(x_max), n_space)
+    xi = np.linspace(np.log(_FD_X_MIN), np.log(_FD_X_MAX), _FD_N_SPACE)
     h = xi[1] - xi[0]
-    dt = horizon / n_time
-    surface = np.empty((n_time + 1, n_space))
+    dt = horizon / _FD_N_TIME
+    surface = np.empty((_FD_N_TIME + 1, _FD_N_SPACE))
     surface[-1] = utility.u(np.exp(xi))
     half_lam2 = 0.5 * lam**2
 
@@ -312,13 +309,13 @@ def _solve_finite_difference(
         d2 = (m[-1] - 2.0 * m[-2] + m[-3]) / h**2
         return d1, d2
 
-    for step in range(n_time - 1, -1, -1):
+    for step in range(_FD_N_TIME - 1, -1, -1):
         target = surface[step + 1]
         m = target.copy()
         converged = False
-        for _ in range(max_newton):
-            d1 = np.zeros(n_space)
-            d2 = np.zeros(n_space)
+        for _ in range(_FD_MAX_NEWTON):
+            d1 = np.zeros(_FD_N_SPACE)
+            d2 = np.zeros(_FD_N_SPACE)
             d1[1:-1] = (m[2:] - m[:-2]) / (2.0 * h)
             d2[1:-1] = (m[2:] - 2.0 * m[1:-1] + m[:-2]) / h**2
             d1[-1], d2[-1] = one_sided(m)
@@ -331,15 +328,15 @@ def _solve_finite_difference(
             g = half_lam2 * d1**2 / den
             resid = m - target + dt * g
             resid[0] = m[0] - target[0]  # pinned lower boundary
-            if np.max(np.abs(resid[1:])) <= newton_tol * np.max(np.abs(m)):
+            if np.max(np.abs(resid[1:])) <= _FD_NEWTON_TOL * np.max(np.abs(m)):
                 converged = True
                 break
             # banded Jacobian: d resid / dm, bandwidth (2, 1) from the last row
             dg_dd1 = lam**2 * d1 / den + half_lam2 * d1**2 / den**2
             dg_dd2 = -half_lam2 * d1**2 / den**2
-            ab = np.zeros((4, n_space))  # rows: u1, diag, l1, l2
+            ab = np.zeros((4, _FD_N_SPACE))  # rows: u1, diag, l1, l2
             ab[1, :] = 1.0
-            i = np.arange(1, n_space - 1)
+            i = np.arange(1, _FD_N_SPACE - 1)
             ab[1, i] += dt * dg_dd2[i] * (-2.0 / h**2)
             ab[0, i + 1] = dt * (dg_dd1[i] / (2.0 * h) + dg_dd2[i] / h**2)
             ab[2, i - 1] = dt * (-dg_dd1[i] / (2.0 * h) + dg_dd2[i] / h**2)
@@ -353,11 +350,11 @@ def _solve_finite_difference(
             m = m + delta
         if not converged:
             raise RuntimeError(
-                f"finite-difference Newton stalled after {max_newton} iterations "
+                f"finite-difference Newton stalled after {_FD_MAX_NEWTON} iterations "
                 f"at time step {step}"
             )
         surface[step] = m
-    t_grid = np.linspace(0.0, horizon, n_time + 1)
+    t_grid = np.linspace(0.0, horizon, _FD_N_TIME + 1)
     return t_grid, xi, surface
 
 

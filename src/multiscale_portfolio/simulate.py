@@ -238,7 +238,6 @@ class PathEnsemble:
     strategy_name: str
     n_paths: int
     n_steps: int
-    dt: float
     antithetic: bool
     x_terminal: np.ndarray
     utility_terminal: np.ndarray
@@ -247,7 +246,6 @@ class PathEnsemble:
     surface_exact_points: int = 0          # path-steps off the Merton table's box
     drag_kind: str | None = None          # "bump" | "mismatch" | None
     drag_max_increment: np.ndarray | None = None
-    drag_active: np.ndarray | None = None  # any nonzero increment seen
     bump_sums: np.ndarray | None = None    # sums of b^1..b^4, rows (fast, slow)
 
     @property
@@ -328,13 +326,12 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
 
     n_draw = n_chunk // 2 if cfg.antithetic else n_chunk
     # the records accumulate in place; x_terminal is the running wealth until the end
-    recs = [PathEnsemble(strat.name, n_chunk, n_steps, dt, cfg.antithetic,
+    recs = [PathEnsemble(strat.name, n_chunk, n_steps, cfg.antithetic,
                          np.full(n_chunk, cfg.x0), None, np.zeros(n_chunk),
                          np.zeros(n_chunk, dtype=bool)) for strat in strategies]
     for strat, rec in zip(strategies, recs if collect_drag else ()):
         rec.drag_kind = "bump" if isinstance(strat, Perturbed) else "mismatch"
         rec.drag_max_increment = np.full(n_chunk, -np.inf)
-        rec.drag_active = np.zeros(n_chunk, dtype=bool)
         if rec.drag_kind == "bump":
             rec.bump_sums = np.zeros((2, 4))
 
@@ -396,7 +393,6 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
                     vxx = bundle.value_xx(t, x_live, z)
                     inc = np.where(sel, 0.5 * weight * sig**2 * vxx * dt, 0.0)
                 np.maximum(rec.drag_max_increment, inc, out=rec.drag_max_increment)
-                rec.drag_active |= inc != 0.0
 
             x_new = wealth_step(x, pi, mu, sig, dt, dw)
             rec.floor_hit |= alive & (x_new <= 0.0)
@@ -443,8 +439,13 @@ def run_ensembles(model: MarketModel, strategies: list[Strategy],
     Results come back in roster order.  Identical (model, cfg, strategies)
     produce bit-identical ensembles for any worker count.  Every pool child
     is joined before this returns or raises; a chunk's exception reaches the
-    caller with its own type.
+    caller with its own type.  The bundle must be at the model's scales: the
+    control variate reads them from the bundle, the paths from the model.
     """
+    scales = [(m.epsilon, m.delta) for m in (bundle.model, model)]
+    if scales[0] != scales[1]:
+        raise ValueError("the bundle's (epsilon, delta) = {} differ from the model's {}; "
+                         "move the bundle with with_scales".format(*scales))
     _validate_step(model, cfg)
     bounds = _chunk_bounds(cfg.n_paths, cfg.chunk_size)
     if cfg.antithetic and any((b - a) % 2 for a, b in bounds):
@@ -482,7 +483,7 @@ def run_ensembles(model: MarketModel, strategies: list[Strategy],
 
 
 _PATH_ARRAYS = ("x_terminal", "utility_terminal", "control_variate", "floor_hit",
-                "drag_max_increment", "drag_active")
+                "drag_max_increment")
 
 
 def _merge(records: list[PathEnsemble]) -> PathEnsemble:
@@ -581,8 +582,7 @@ def estimate_value(model: MarketModel, strategy: Strategy, bundle: ExpansionBund
 
 
 def _drag_verdict(ensemble: PathEnsemble) -> DragVerdict:
-    inc = ensemble.drag_max_increment.copy()
-    inc[~ensemble.drag_active] = 0.0  # paths with no nonzero increment
+    inc = ensemble.drag_max_increment  # every step adds an increment, so no -inf is left
     per_path_pass = inc <= 0.0
     return DragVerdict(
         kind=ensemble.drag_kind,

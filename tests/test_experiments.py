@@ -566,6 +566,40 @@ def test_mixture_residual_study_reduced_scale(mixture_cfg):
     assert all(r["resolved"] for r in study.rows)
 
 
+@pytest.mark.parametrize("kind", ["power", "mixture"])
+def test_a_bundle_moved_in_scale_matches_a_fresh_one(default_cfg, mixture_cfg, kind):
+    cfg = default_cfg if kind == "power" else mixture_cfg
+    moved = build_bundle(cfg, build_model(cfg, 0.4, 0.4)).with_scales(0.1, 0.05)
+    fresh = build_bundle(cfg, build_model(cfg, 0.1, 0.05))
+    assert (moved.model.epsilon, moved.model.delta) == (0.1, 0.05)
+    t, x = 0.3, np.array([0.5, 1.0, 2.0])
+    y, z = np.array([-0.5, 0.0, 0.8]), np.array([-0.2, 0.0, 0.3])
+
+    def bits(bundle):
+        return [v.tobytes() for v in (bundle.slow_correction(t, x, z),
+                                      bundle.first_order_value(t, x, z),
+                                      *bundle.q_coefficients(t, y, z))]
+
+    assert bits(moved) == bits(fresh)
+
+
+def test_a_mixture_bundle_moved_before_any_run_builds_one_merton_table(monkeypatch, mixture_cfg):
+    from multiscale_portfolio import asymptotics
+
+    builds = []
+    real = asymptotics.MertonTable
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(asymptotics, "MertonTable", counting)
+    bundle = build_bundle(mixture_cfg, build_model(mixture_cfg, 0.4, 0.4))
+    points = [bundle.with_scales(eps, eps) for eps in (0.4, 0.2, 0.1)]
+    assert all(point.merton_table() is bundle.merton_table() for point in points)
+    assert len(builds) == 1
+
+
 @pytest.mark.parametrize("study", [residual_order_study, optimality_study])
 def test_a_study_builds_one_theta_table_under_workers(monkeypatch, small_cfg, study):
     # theta_y depends on the Sharpe ratio and the fast factor, not on (eps, delta):

@@ -303,7 +303,6 @@ def test_bump_drag_sign_is_exact():
     assert verdict.passed
     assert verdict.max_increment < 0.0  # nonzero bumps give strictly negative drag
     assert verdict.n_positive_paths == 0
-    assert np.all(ens.drag_active)
 
 
 def test_zero_bumps_give_zero_drag():
@@ -316,7 +315,7 @@ def test_zero_bumps_give_zero_drag():
     verdict = bump_drag_diagnostic(ens)
     assert verdict.passed
     assert verdict.max_increment == 0.0
-    assert not np.any(ens.drag_active)
+    assert np.all(ens.drag_max_increment == 0.0)
 
 
 def test_mismatch_drag_scaled_and_all_cash():
@@ -559,7 +558,6 @@ def test_chunk_counters_come_back_from_the_children():
     for one, two in zip(*runs):
         assert one.surface_exact_points == two.surface_exact_points > 0
         assert one.drag_max_increment.tobytes() == two.drag_max_increment.tobytes()
-        assert one.drag_active.tobytes() == two.drag_active.tobytes()
         assert one.bump_moments == two.bump_moments
     assert runs[1][1].bump_moments["fast_bump"]["order_1"] > 0.0
 
@@ -632,14 +630,24 @@ def test_theta_table_is_built_once_under_workers(monkeypatch):
         b = bundle_for(model, halfwidth=1.5)
         run_ensembles(model, [ZerothOrder(b)], b,
                       cfg_for(model, n_paths=128, chunk_size=32, workers=workers))
-        run_ensembles(model, [ZerothOrder(b)], b.for_model(tanh_model(0.2)),
-                      cfg_for(tanh_model(0.2), n_paths=128, chunk_size=32, workers=workers))
+        moved = b.with_scales(0.2, 0.2)
+        run_ensembles(moved.model, [ZerothOrder(moved)], moved,
+                      cfg_for(moved.model, n_paths=128, chunk_size=32, workers=workers))
         assert builds.value == expected
     # without the control variate nothing reads it
     b = bundle_for(model, halfwidth=1.5)
     run_ensembles(model, [ZerothOrder(b)], b,
                   cfg_for(model, n_paths=128, chunk_size=32, workers=2, control_variate=False))
     assert builds.value == 2
+
+
+def test_a_bundle_at_other_scales_than_the_model_is_an_error():
+    # the control variate would take its scales from the bundle, the paths from the model
+    model = tanh_model(0.4)
+    b = bundle_for(model, halfwidth=1.5).with_scales(0.2, 0.1)
+    named = r"\(0\.2, 0\.1\) differ from the model's \(0\.4, 0\.4\)"
+    with pytest.raises(ValueError, match=named):
+        run_ensembles(model, [ZerothOrder(b)], b, cfg_for(model, n_paths=32, chunk_size=32))
 
 
 def test_summarize_reports_the_raw_se_and_the_variance_ratio():
