@@ -24,10 +24,10 @@ The corrector gradient uses the stationary-flux integral form
 
 evaluated with Gauss-Legendre panels and switched to the complementary tail
 integral for y above the mean to avoid cancellation.  theta itself is fixed
-by the zero-average normalization <theta(., z)> = 0.  The control variate
-reads theta_y at every path and step from a (z-node, y) table built once from
-cumulative panels of the same flux; ``PoissonSolution.gradient`` stays the
-reference it is checked against.
+by the zero-average normalization <theta(., z)> = 0.  ``FactorAverages``
+builds the averages and the control variate's (z-node, y) table of theta_y
+in one blocked pass; ``invariant_average``, ``PoissonSolution`` and
+``fast_coupling`` stay the references they are checked against.
 """
 
 from __future__ import annotations
@@ -64,13 +64,33 @@ _CENTERING_TOL = 1e-10
 _THETA_Y_NODES = 401    # y-nodes of the theta_y table
 _THETA_Y_WINDOW = 8.0   # their half-width, in units of nu
 _PANEL_NODES = 4        # Gauss-Legendre nodes per panel between y-nodes
-_THETA_Z_BLOCK = 8      # z-nodes per block of the table build, to bound its memory
+_Z_BLOCK = 2            # z-nodes per block of the flux pass: bounds its memory (2 ran fastest)
 
 
 @cache
 def _gauss_legendre(n: int = _GL_NODES) -> tuple[np.ndarray, np.ndarray]:
     """A Gauss-Legendre rule on [-1, 1], computed once per process."""
     return roots_legendre(n)
+
+
+def _density_rule(fast, lo, hi, n: int = _GL_NODES) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u and weights wts, on a new last axis, such that sum(f(u) wts)
+    is int_lo^hi f(u) Phi(u) du on each interval (lo, hi arrays of any one
+    shape): an n-node Gauss-Legendre rule times the stationary density Phi."""
+    gl_x, gl_w = _gauss_legendre(n)
+    half = 0.5 * (hi - lo)[..., None]
+    u = 0.5 * (lo + hi)[..., None] + half * gl_x
+    return u, half * gl_w * fast.stationary_pdf(u)
+
+
+def _flux_rule(fast, y) -> tuple[np.ndarray, np.ndarray]:
+    """(u, wts) for int_{-inf}^y f(u) Phi(u) du of a zero-average f over the
+    shorter tail, out to _GL_WINDOW nu: the right one, negated, above the
+    mean, where the left one would cancel."""
+    left, width = y <= fast.mean, _GL_WINDOW * fast.vol
+    u, wts = _density_rule(fast, np.where(left, fast.mean - width, y),
+                           np.where(left, y, fast.mean + width))
+    return u, np.where(left, 1.0, -1.0)[..., None] * wts
 
 
 @dataclass(frozen=True)
@@ -185,7 +205,6 @@ class PoissonSolution:
     """Zero-average corrector theta(., z) with L0 theta = lam^2 - <lam^2>."""
 
     def __init__(self, model: MarketModel, z: float):
-        fast = model.fast
         self.model = model
         self.z = float(z)
         self.mean_square = invariant_average(
@@ -199,9 +218,6 @@ class PoissonSolution:
                 f"corrector source is not centered (residual {centering:.3e})"
             )
         self._gl_x, self._gl_w = _gauss_legendre()
-        width = _GL_WINDOW * fast.vol
-        self._lo = fast.mean - width
-        self._hi = fast.mean + width
         self._offset = None  # lazy zero-average normalization
 
     def _source(self, y, z):
@@ -209,17 +225,8 @@ class PoissonSolution:
 
     def _flux(self, y):
         """int_{-inf}^{y} source(u) Phi(u) du via the shorter tail."""
-        fast = self.model.fast
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        left = y <= fast.mean
-        a = np.where(left, self._lo, y)
-        b = np.where(left, y, self._hi)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        u = mid[..., None] + half[..., None] * self._gl_x
-        vals = self._source(u, self.z) * fast.stationary_pdf(u)
-        integral = half * (vals @ self._gl_w)
-        # right of the mean: centered source makes the full integral vanish
-        return np.where(left, integral, -integral)
+        u, wts = _flux_rule(self.model.fast, np.atleast_1d(np.asarray(y, dtype=float)))
+        return np.sum(self._source(u, self.z) * wts, axis=-1)
 
     def gradient(self, y):
         """theta_y(y, z)."""
@@ -267,20 +274,55 @@ def fast_coupling(model: MarketModel, z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _rms_sharpe_exact(model, z):
-    ms = invariant_average(model, lambda y, zz: model.sharpe(y, zz) ** 2, z)
-    if ms < 0.0:
-        raise RuntimeError("quadrature produced a negative mean-square Sharpe ratio")
-    return math.sqrt(ms)
+def _tabulate(model: MarketModel, z_grid: np.ndarray):
+    """(columns, (y_grid, theta)): sharpe_rms, sharpe_mean, sharpe_rms_slope and
+    coupling at the z-nodes, and theta_y at the z-nodes and a uniform y-grid.
+    The corrector flux of PoissonSolution._flux gives theta_y at the
+    Gauss-Hermite nodes, hence the coupling, and summed over panels from the
+    nearer tail, the table, for _Z_BLOCK z-nodes at a time.  Raises
+    RuntimeError as invariant_average and PoissonSolution do."""
+    fast = model.fast
+    nodes, w = fast.stationary_nodes()
 
+    def averages(z):  # lam at (z, Gauss-Hermite node) and <lam^2> per z
+        lam = model.sharpe(nodes, z[:, None])
+        if not np.all(np.isfinite(lam)):
+            i, j = np.argwhere(~np.isfinite(lam))[0]
+            raise RuntimeError("integrand not finite at quadrature nodes "
+                               f"(first bad y={nodes[j]:.6g}, z={z[i]:.6g})")
+        mean_square = lam**2 @ w
+        if np.any(mean_square < 0.0):
+            raise RuntimeError("quadrature produced a negative mean-square Sharpe ratio")
+        return lam, mean_square
 
-def _node_values(model: MarketModel, z: float) -> tuple[float, float, float, float]:
-    """The four averages at one node, by quadrature; the rms slope by a
-    Richardson-extrapolated central difference."""
-    def rms(zz):
-        return _rms_sharpe_exact(model, zz)
-    slope = richardson_derivative(rms, z, 1, 1e-4 * max(1.0, abs(z)))
-    return rms(z), invariant_average(model, model.sharpe, z), slope, fast_coupling(model, z)
+    lam, mean_square = averages(z_grid)
+    centering = (lam**2 - mean_square[:, None]) @ w
+    if np.any(np.abs(centering) > _CENTERING_TOL * (1.0 + mean_square)):
+        raise RuntimeError(f"corrector source is not centered (residual {max(abs(centering)):.3e})")
+    slope = richardson_derivative(lambda z: np.sqrt(averages(z)[1]), z_grid, 1,
+                                  1e-4 * np.maximum(1.0, np.abs(z_grid)))
+    columns = np.column_stack([np.sqrt(mean_square), lam @ w, slope, np.zeros(z_grid.size)])
+    y = fast.mean + (fast.vol or 1.0) * np.linspace(-_THETA_Y_WINDOW, _THETA_Y_WINDOW,
+                                                    _THETA_Y_NODES)
+    theta = np.zeros((z_grid.size, y.size))
+    if fast.vol == 0.0:
+        return columns, (y, theta)
+    # the flux at the y-grid's ends and the Gauss-Hermite nodes, and the panels between y-nodes
+    rules = (_flux_rule(fast, np.concatenate([y[[0, -1]], nodes])),
+             _density_rule(fast, y[:-1], y[1:], _PANEL_NODES))
+    at = np.concatenate([y, nodes])  # theta_y = 2 flux / (a^2 Phi) there
+    scale = 2.0 / (fast.noise(at) ** 2 * fast.stationary_pdf(at))
+    for a in range(0, z_grid.size, _Z_BLOCK):
+        block = slice(a, a + _Z_BLOCK)
+        tails, panels = (np.sum((model.sharpe(u, z_grid[block, None, None]) ** 2
+                                 - mean_square[block, None, None]) * wts, axis=-1)
+                         for u, wts in rules)
+        # the flux at y: from the left end at or below the mean, from the right one above
+        from_left = np.cumsum(np.column_stack([tails[:, 0], panels]), axis=1)
+        from_right = np.cumsum(np.column_stack([tails[:, 1], -panels[:, ::-1]]), axis=1)
+        theta[block] = np.where(y <= fast.mean, from_left, from_right[:, ::-1]) * scale[:y.size]
+        columns[block, 3] = (lam[block] * fast.noise(nodes) * tails[:, 2:] * scale[y.size:]) @ w
+    return columns, (y, theta)
 
 
 TABLE_COLUMNS = ("sharpe_rms", "sharpe_mean", "sharpe_rms_slope", "coupling",
@@ -296,14 +338,14 @@ class FactorAverages:
     interval lookup and one Horner pass (recomputing the quadratures inside a
     Monte Carlo step loop would dominate the runtime), and a z-slope is the
     slope of its column's cubic.  z off the grid is an error, never an
-    extrapolation.  The module-level quadrature functions remain the
-    reference the table is checked against.
+    extrapolation.
 
     The corrector gradient theta_y(y, z), which the control variate reads,
-    comes from a second table at the same z-nodes, built on first use
-    (``theta_gradient_table``): ``cv_lookup`` returns it with weighted columns
-    for one interval search, taking theta_y at the nearest z-node and
-    linearly in y, held at its end values beyond the y-grid.
+    comes from a second table at the same z-nodes (``theta_gradient_table``).
+    One blocked pass over the z-nodes builds both tables on construction, so
+    processes forked later share them.  ``cv_lookup`` returns theta_y with
+    weighted columns for one interval search, taking it at the nearest z-node
+    and linearly in y, held at its end values beyond the y-grid.
     """
 
     def __init__(self, model: MarketModel, z_grid: np.ndarray):
@@ -315,13 +357,12 @@ class FactorAverages:
             raise ValueError("z-grid must be uniform and increasing")
         self.model = model
         self.z_grid = z_grid
-        nodes = np.array([_node_values(model, z) for z in z_grid])
+        nodes, self._theta = _tabulate(model, z_grid)
         nodes = np.column_stack([nodes, np.prod(nodes[:, :3], axis=1) * model.slow_vol(z_grid)])
         # _coef[k, column, i] multiplies (z - z_i)^(3 - k) on interval i
         self._coef = np.ascontiguousarray(CubicSpline(z_grid, nodes).c.transpose(0, 2, 1))
         self._inv_step = 1.0 / step
         self._half_step = 0.5 * step
-        self._theta = None  # (y_grid, table), built on first use
 
     def _locate(self, z: np.ndarray):
         """Interval index and offset of each z (flat); ValueError off the grid."""
@@ -337,7 +378,7 @@ class FactorAverages:
         return idx, z - self.z_grid[idx]
 
     def _theta_at(self, y, idx, dx):
-        y_grid, table = self.theta_gradient_table()
+        y_grid, table = self._theta
         last = y_grid.size - 1
         u = np.clip((y - y_grid[0]) * (last / (y_grid[-1] - y_grid[0])), 0.0, last)
         j = np.minimum(u.astype(np.intp), last - 1)
@@ -363,10 +404,7 @@ class FactorAverages:
         return self._cubic(slice(None), z, slope=False)
 
     def theta_gradient_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(y_grid, theta_y at (z-node, y)), built once on first use; a run on
-        forked processes builds it before forking."""
-        if self._theta is None:
-            self._theta = _tabulate_theta_gradient(self.model, self.z_grid)
+        """(y_grid, theta_y at (z-node, y)), built with the averages."""
         return self._theta
 
     def cv_lookup(self, weights, y, z) -> tuple[np.ndarray, ...]:
@@ -418,45 +456,6 @@ class FactorAverages:
     def coupling_slope(self, z):
         """d/dz of coupling."""
         return self._cubic(3, z, slope=True)
-
-
-def _tabulate_theta_gradient(model: MarketModel, z_grid: np.ndarray):
-    """theta_y at the z-nodes (rows) and a uniform y-grid of _THETA_Y_NODES
-    points within _THETA_Y_WINDOW nu of the mean (columns): the flux
-    integrals of PoissonSolution.gradient, accumulated panel by panel from
-    the left tail for y at or below the mean and from the right tail above
-    it.  Returns (y_grid, table); the table is zero for a degenerate factor."""
-    fast = model.fast
-    y = fast.mean + (fast.vol or 1.0) * np.linspace(-_THETA_Y_WINDOW, _THETA_Y_WINDOW,
-                                                    _THETA_Y_NODES)
-    table = np.zeros((z_grid.size, y.size))
-    if fast.vol == 0.0:
-        return y, table
-
-    def panels(lo, hi, n):  # nodes and stationary-density weights on each [lo, hi]
-        gl_x, gl_w = _gauss_legendre(n)
-        half = 0.5 * (hi - lo)[:, None]
-        u = 0.5 * (lo + hi)[:, None] + half * gl_x
-        return u, half * gl_w * fast.stationary_pdf(u)
-
-    width = _GL_WINDOW * fast.vol
-    # the two tails, out to the corrector's window, take its full rule
-    rules = (panels(np.array([fast.mean - width]), y[:1], _GL_NODES),
-             panels(y[:-1], y[1:], _PANEL_NODES),
-             panels(y[-1:], np.array([fast.mean + width]), _GL_NODES))
-    nodes, w = fast.stationary_nodes()
-    left = y <= fast.mean
-    scale = 2.0 / (fast.noise(y) ** 2 * fast.stationary_pdf(y))
-    for a in range(0, z_grid.size, _THETA_Z_BLOCK):
-        zb = z_grid[a:a + _THETA_Z_BLOCK, None]
-        mean_square = (w @ model.sharpe(nodes[:, None], zb.T) ** 2)[:, None, None]
-        flux = np.concatenate(  # (block, panels): each panel's share of the flux
-            [np.sum((model.sharpe(u, zb[..., None]) ** 2 - mean_square) * wts, axis=-1)
-             for u, wts in rules], axis=1)
-        from_left = np.cumsum(flux[:, :-1], axis=1)
-        from_right = -np.cumsum(flux[:, :0:-1], axis=1)[:, ::-1]
-        table[a:a + _THETA_Z_BLOCK] = np.where(left, from_left, from_right) * scale
-    return y, table
 
 
 def averaged_sharpe(model: MarketModel, z_grid: np.ndarray) -> FactorAverages:

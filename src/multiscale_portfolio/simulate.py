@@ -456,10 +456,9 @@ def run_ensembles(model: MarketModel, strategies: list[Strategy],
     if n_proc == 1:
         results = [_run_chunk(job, idx) for idx in range(len(bounds))]
     else:
-        # the tables are built once here and inherited by every child
+        # the Merton table is built once here and inherited by every child,
+        # as the factor averages' tables are from the bundle's construction
         bundle.merton_table()
-        if cfg.control_variate:
-            bundle.averages.theta_gradient_table()
         # concurrent.futures imports its process module on this first use, so
         # one-process runs never load it
         with concurrent.futures.ProcessPoolExecutor(

@@ -603,18 +603,18 @@ def test_a_mixture_bundle_moved_before_any_run_builds_one_merton_table(monkeypat
 @pytest.mark.parametrize("study", [residual_order_study, optimality_study])
 def test_a_study_builds_one_theta_table_under_workers(monkeypatch, small_cfg, study):
     # theta_y depends on the Sharpe ratio and the fast factor, not on (eps, delta):
-    # the caller builds it before forking and every grid point shares it
+    # the study's one bundle builds it before forking and every grid point shares it
     from multiscale_portfolio import factors
 
     builds = multiprocessing.Value("i", 0)  # shared, so a child's build would count
-    real = factors._tabulate_theta_gradient
+    real = factors._tabulate
 
     def counting(*args):
         with builds.get_lock():
             builds.value += 1
         return real(*args)
 
-    monkeypatch.setattr(factors, "_tabulate_theta_gradient", counting)
+    monkeypatch.setattr(factors, "_tabulate", counting)
     study(replace(small_cfg, epsilons=(0.4, 0.2, 0.1), deltas=(0.4, 0.2, 0.1),
                   n_paths=64, chunk_size=32, workers=2))
     assert builds.value == 1

@@ -617,14 +617,14 @@ def test_a_degenerate_fast_factor_runs_the_control_variate():
 
 def test_theta_table_is_built_once_under_workers(monkeypatch):
     builds = multiprocessing.Value("i", 0)  # shared, so a child's build would count
-    real = factors._tabulate_theta_gradient
+    real = factors._tabulate
 
     def counting(*args):
         with builds.get_lock():
             builds.value += 1
         return real(*args)
 
-    monkeypatch.setattr(factors, "_tabulate_theta_gradient", counting)
+    monkeypatch.setattr(factors, "_tabulate", counting)
     model = tanh_model(0.4)
     for workers, expected in ((1, 1), (2, 2)):
         b = bundle_for(model, halfwidth=1.5)
@@ -634,11 +634,12 @@ def test_theta_table_is_built_once_under_workers(monkeypatch):
         run_ensembles(moved.model, [ZerothOrder(moved)], moved,
                       cfg_for(moved.model, n_paths=128, chunk_size=32, workers=workers))
         assert builds.value == expected
-    # without the control variate nothing reads it
+    # without the control variate the bundle's construction still builds it, and nothing more
     b = bundle_for(model, halfwidth=1.5)
+    assert builds.value == 3
     run_ensembles(model, [ZerothOrder(b)], b,
                   cfg_for(model, n_paths=128, chunk_size=32, workers=2, control_variate=False))
-    assert builds.value == 2
+    assert builds.value == 3
 
 
 def test_a_bundle_at_other_scales_than_the_model_is_an_error():
