@@ -49,9 +49,9 @@ class ExpansionBundle:
     Scalar calls accept floats; the vectorized paths accept arrays for x and
     z with a scalar t (the Monte Carlo engine's access pattern).  For a pure
     power utility all evaluations are closed form.  For any other utility the
-    terms the engine reads every step (``risk_tolerance`` and so ``pi_zero``,
-    ``value_xx`` and ``q_gradients``) come from a :class:`MertonTable`, built
-    on first use; the value and its corrections stay on the exact dual.
+    surface the engine reads every step (``step_pack``, and ``risk_tolerance``
+    and so ``pi_zero``) comes from a :class:`MertonTable`, built on first use;
+    the value and its corrections stay on the exact dual.
     """
 
     def __init__(self, model: MarketModel, averages: FactorAverages,
@@ -101,9 +101,6 @@ class ExpansionBundle:
         """v(t, x, z) = Merton value at the averaged Sharpe ratio."""
         return self._surface(t, x, z)["m"]
 
-    def value_xx(self, t, x, z):
-        return self._surface(t, x, z, table=True)["m_xx"]
-
     def risk_tolerance(self, t, x, z):
         """R(t, x; rms(z)); exactly 0 at zero wealth, so every position built
         on it (pi_zero, the slow bump) is 0 on an absorbed path."""
@@ -114,13 +111,16 @@ class ExpansionBundle:
         return np.where(alive, self._surface(t, np.where(alive, x, 1.0), z, table=True)["r"],
                         0.0)
 
-    def exact_surface_points(self, t, x, rms) -> int:
-        """How many of the points (x, rms) the engine's table leaves to the
-        exact dual (0 for a pure power, which has no table)."""
+    def step_pack(self, t, x, rms) -> tuple[dict, int]:
+        """The order-4 Merton pack at (t, x; rms) that one engine step shares
+        among every reader of one strategy's wealth (its position, the control
+        variate's gradients, the drag), and how many of its points the engine's
+        table left to the exact dual (0 for a pure power, which has no table).
+        x must be positive."""
         table = self.merton_table()
         if table is None:
-            return 0
-        return int(np.count_nonzero(~table.covers(rms**2 * (self.horizon - t), x)))
+            return merton_pack(self.utility, rms, self.horizon - t, x, order=4), 0
+        return table.evaluate_counted(rms, self.horizon - t, x, order=4)
 
     def d1(self, t, x, z):
         """D1 v = R M_x."""
@@ -202,10 +202,11 @@ class ExpansionBundle:
         return (a, b, (self.horizon - t) * rms * rms_p, rms,
                 -0.5 * self.model.epsilon * theta_y)
 
-    def q_gradients(self, t, x, y, z, coefs=None):
+    def q_gradients(self, t, x, y, z, coefs=None, pack=None):
         """(Q_x, Q_z, Q_y) from one derivative pack; feeds the control variate.
 
-        ``coefs`` is ``q_coefficients(t, y, z)`` when the caller holds it.  With
+        ``coefs`` is ``q_coefficients(t, y, z)`` and ``pack`` is
+        ``step_pack(t, x, coefs[3])[0]`` when the caller holds them.  With
         k = R_x - 1, D1^2 v = k D1 v and d/dx D1^2 v = M_x (k^2 + R R_xx), so
         Q_x is exact.  Q_z uses the Vega-Gamma identity
         v_z = tau rms rms' D1 v and takes d/dz D1^2 v = k^2 v_z: exact for a
@@ -217,7 +218,7 @@ class ExpansionBundle:
         if coefs is None:
             coefs = self.q_coefficients(t, y, z)
         a, b, c, rms, e = coefs
-        p = self._surface(t, x, z, order=4, rms=rms, table=True)
+        p = self.step_pack(t, x, rms)[0] if pack is None else pack
         k = p["r_x"] - 1.0
         k2 = k * k
         d1 = p["r"] * p["m_x"]

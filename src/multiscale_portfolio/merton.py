@@ -256,6 +256,11 @@ class MertonTable:
 
     def evaluate(self, lam, tau, x, order: int = 2) -> dict:
         """m_x, m_xx, r and, by order, r_x and r_xx at (tau, x), lam per point."""
+        return self.evaluate_counted(lam, tau, x, order)[0]
+
+    def evaluate_counted(self, lam, tau, x, order: int = 2) -> tuple[dict, int]:
+        """``evaluate``'s pack, and how many of its points lay off the box and
+        went to the exact dual."""
         x = np.asarray(x, dtype=float)
         lam = np.broadcast_to(np.asarray(lam, dtype=float), x.shape)
         s = lam**2 * tau
@@ -273,7 +278,7 @@ class MertonTable:
             exact = self.dual.evaluate(lam[~inside], tau, x[~inside], order=order)
             for k in keys:
                 out[k][~inside] = exact[k]
-        return out
+        return out, int(inside.size - np.count_nonzero(inside))
 
 
 # ---------------------------------------------------------------------------

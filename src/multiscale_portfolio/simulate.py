@@ -52,6 +52,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,7 @@ from .factors import MarketModel
 
 __all__ = [
     "SimConfig",
+    "StepState",
     "Strategy",
     "AllCash",
     "ZerothOrder",
@@ -90,6 +92,32 @@ _STEP_DIVISOR = 20  # dt must resolve the fastest scale: dt <= min(eps, delta)/2
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class StepState:
+    """One strategy's paths at one engine step: the state (t, x, y, z), the
+    step's lam/sigma, which paths are alive, and the order-4 Merton pack at
+    (t, x_live; rms(z)) that every reader of that point shares, with x_live
+    the wealth with a stand-in 1 at the floor."""
+
+    t: float
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    lam_over_sig: np.ndarray
+    alive: np.ndarray
+    pack: dict
+
+    @cached_property
+    def tolerance(self):
+        """R(t, x; rms(z)), exactly 0 on an absorbed path."""
+        return np.where(self.alive, self.pack["r"], 0.0)
+
+    @cached_property
+    def pi0(self):
+        """The zeroth-order position, ``ExpansionBundle.pi_zero`` at this step."""
+        return self.lam_over_sig * self.tolerance
+
+
 class Strategy:
     """Feedback strategy: dollar position as a function of (t, x, y, z)."""
 
@@ -97,6 +125,11 @@ class Strategy:
 
     def position(self, t, x, y, z):
         raise NotImplementedError
+
+    def step_position(self, step: StepState):
+        """The position at an engine step; a strategy that reads the step's
+        Merton pack overrides this, any other needs only ``position``."""
+        return self.position(step.t, step.x, step.y, step.z)
 
 
 class AllCash(Strategy):
@@ -120,6 +153,9 @@ class ZerothOrder(Strategy):
     def position(self, t, x, y, z):
         return self.bundle.pi_zero(t, x, y, z)
 
+    def step_position(self, step):
+        return step.pi0
+
 
 class Scaled(Strategy):
     """A fixed multiple of a base strategy."""
@@ -131,6 +167,9 @@ class Scaled(Strategy):
 
     def position(self, t, x, y, z):
         return self.factor * self.base.position(t, x, y, z)
+
+    def step_position(self, step):
+        return self.factor * self.base.step_position(step)
 
 
 class Perturbed(Strategy):
@@ -157,9 +196,20 @@ class Perturbed(Strategy):
     def bumps(self, t, x, y, z):
         return self.fast_bump(t, x, y, z), self.slow_bump(t, x, y, z)
 
+    def step_bumps(self, step):
+        """``bumps`` at an engine step; a bump with an ``at_step`` method reads
+        the step's Merton pack through it."""
+        return tuple(bump.at_step(step) if hasattr(bump, "at_step")
+                     else bump(step.t, step.x, step.y, step.z)
+                     for bump in (self.fast_bump, self.slow_bump))
+
     def position(self, t, x, y, z):
         b10, b01 = self.bumps(t, x, y, z)
         return self.base.position(t, x, y, z) + self.eps_pow * b10 + self.delta_pow * b01
+
+    def step_position(self, step):
+        b10, b01 = self.step_bumps(step)
+        return self.base.step_position(step) + self.eps_pow * b10 + self.delta_pow * b01
 
 
 def default_fast_bump(scale: float):
@@ -169,11 +219,23 @@ def default_fast_bump(scale: float):
     return bump
 
 
+class _ToleranceBump:
+    """c * R(t, x; rms(z)); at an engine step, R is the step's."""
+
+    def __init__(self, scale: float, bundle: ExpansionBundle):
+        self.scale = scale
+        self.bundle = bundle
+
+    def __call__(self, t, x, y, z):
+        return self.scale * self.bundle.risk_tolerance(t, x, z)
+
+    def at_step(self, step):
+        return self.scale * step.tolerance
+
+
 def default_slow_bump(scale: float, bundle: ExpansionBundle):
     """Bump proportional to the averaged risk tolerance c * R(t, x; rms(z))."""
-    def bump(t, x, y, z):
-        return scale * bundle.risk_tolerance(t, x, z)
-    return bump
+    return _ToleranceBump(scale, bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +399,6 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
 
     y = np.full(n_chunk, cfg.y0)
     z = np.full(n_chunk, cfg.z0)
-    # a non-power bundle serves the surface from its table: count what it cannot
-    tabulated = bundle.merton_table() is not None
 
     for step in range(n_steps):
         t = step * dt
@@ -355,29 +415,31 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
         lam = model.sharpe(y, z)
         sig = model.sigma(y, z)
         mu = lam * sig
+        lam_over_sig = lam / sig
         gz = model.slow_vol(z)
         # one factor lookup and one set of CV coefficients per step, for every strategy
         coefs = bundle.q_coefficients(t, y, z) if cfg.control_variate else None
-        if tabulated:
-            rms = coefs[3] if coefs is not None else bundle.averages.sharpe_rms(z)
+        rms = coefs[3] if coefs is not None else bundle.averages.sharpe_rms(z)
 
         for strat, rec in zip(strategies, recs):
             x = rec.x_terminal
-            pi = strat.position(t, x, y, z)
             alive = x > 0.0
             # paths at the floor get a stand-in wealth of 1 and no CV or drag increment
             x_live = np.where(alive, x, 1.0)
-            if tabulated:
-                rec.surface_exact_points += bundle.exact_surface_points(t, x_live, rms)
+            # one Merton pack per strategy-step: the position, the CV and the drag read it
+            pack, n_exact = bundle.step_pack(t, x_live, rms)
+            rec.surface_exact_points += n_exact
+            point = StepState(t, x, y, z, lam_over_sig, alive, pack)
+            pi = strat.step_position(point)
 
             if cfg.control_variate:
-                qx, qz, qy = bundle.q_gradients(t, x_live, y, z, coefs)
+                qx, qz, qy = bundle.q_gradients(t, x_live, y, z, coefs, pack)
                 rec.control_variate += np.where(
                     alive, qx * pi * sig * dw + qz * sqrt_delta * gz * dwz + qy * dy_mart, 0.0)
 
             if collect_drag:
                 if rec.drag_kind == "bump":
-                    b10, b01 = strat.bumps(t, x, y, z)
+                    b10, b01 = strat.step_bumps(point)
                     weight = (strat.eps_pow * b10 + strat.delta_pow * b01) ** 2
                     rec.bump_sums += np.array(
                         [
@@ -386,12 +448,9 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
                         ]
                     )
                 else:
-                    weight = (pi - bundle.pi_zero(t, x, y, z)) ** 2
+                    weight = (pi - point.pi0) ** 2
                 sel = alive & (weight != 0.0)
-                inc = np.zeros(n_chunk)
-                if np.any(sel):
-                    vxx = bundle.value_xx(t, x_live, z)
-                    inc = np.where(sel, 0.5 * weight * sig**2 * vxx * dt, 0.0)
+                inc = np.where(sel, 0.5 * weight * sig**2 * pack["m_xx"] * dt, 0.0)
                 np.maximum(rec.drag_max_increment, inc, out=rec.drag_max_increment)
 
             x_new = wealth_step(x, pi, mu, sig, dt, dw)

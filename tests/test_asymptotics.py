@@ -262,7 +262,7 @@ def test_power_bundle_has_no_table():
     assert b.merton_table() is None
     b.q_gradients(0.3, np.array([1.0]), np.array([0.0]), np.array([0.0]))
     assert b._table is None
-    assert b.exact_surface_points(0.3, np.array([1e-6]), np.array([0.6])) == 0
+    assert b.step_pack(0.3, np.array([1e-6]), np.array([0.6]))[1] == 0
 
 
 def test_mixture_engine_terms_read_the_table_and_the_value_the_dual():
@@ -273,11 +273,13 @@ def test_mixture_engine_terms_read_the_table_and_the_value_the_dual():
     assert table.s_max == np.max(rms) ** 2 * b.horizon
     t, x, z = 0.3, np.array([1e-6, 0.5, 2.0]), np.array([0.1, -0.2, 0.3])
     lam = b.averages.sharpe_rms(z)
-    tabulated = table.evaluate(lam, b.horizon - t, x)
+    tabulated = table.evaluate(lam, b.horizon - t, x, order=4)
     exact = b._dual.evaluate(lam, b.horizon - t, x)
-    assert np.array_equal(b.risk_tolerance(t, x, z), tabulated["r"])
-    assert np.array_equal(b.value_xx(t, x, z), tabulated["m_xx"])
-    assert b.risk_tolerance(t, x, z)[0] == exact["r"][0]  # off the box: the exact dual
-    assert b.risk_tolerance(t, x, z)[1] != exact["r"][1]
+    pack, n_exact = b.step_pack(t, x, lam)  # the engine's one pack per strategy-step
+    assert set(pack) == set(tabulated)
+    assert all(np.array_equal(pack[k], tabulated[k]) for k in pack)
+    assert np.array_equal(b.risk_tolerance(t, x, z), pack["r"])
+    assert pack["r"][0] == exact["r"][0]  # off the box: the exact dual
+    assert pack["r"][1] != exact["r"][1]
     assert np.array_equal(b.leading_order(t, x, z), exact["m"])
-    assert b.exact_surface_points(t, x, lam) == 1
+    assert n_exact == 1

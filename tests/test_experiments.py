@@ -445,8 +445,13 @@ def test_cli_simulate_names_the_strategies_whose_drag_sign_test_fails(tmp_path, 
     # and the scaled challengers fail, the zeroth-order strategy has none
     from multiscale_portfolio.asymptotics import ExpansionBundle
 
-    monkeypatch.setattr(ExpansionBundle, "value_xx",
-                        lambda self, t, x, z: np.ones(np.shape(x)))
+    real = ExpansionBundle.step_pack
+
+    def convex(self, t, x, rms):  # the pack's m_xx is what the drag reads
+        pack, n_exact = real(self, t, x, rms)
+        return {**pack, "m_xx": np.ones(np.shape(x))}, n_exact
+
+    monkeypatch.setattr(ExpansionBundle, "step_pack", convex)
     code = run_cli(["simulate", "--config", "default", "--out", str(tmp_path),
                     "--paths", "512"])
     assert code == 1
