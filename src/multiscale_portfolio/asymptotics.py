@@ -224,4 +224,4 @@ class ExpansionBundle:
         d1 = p["r"] * p["m_x"]
         q_x = p["m_x"] * (1.0 + a * (k2 + p["r"] * p["r_xx"]))
         q_z = d1 * (c * (1.0 + a * k2) + b * k)
-        return q_x, q_z, e * d1
+        return q_x, q_z, e * d1, p["m_xx"]

@@ -433,9 +433,10 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
             pi = strat.step_position(point)
 
             if cfg.control_variate:
-                qx, qz, qy = bundle.q_gradients(t, x_live, y, z, coefs, pack)
+                qx, qz, qy, qxx = bundle.q_gradients(t, x_live, y, z, coefs, pack)
                 rec.control_variate += np.where(
-                    alive, qx * pi * sig * dw + qz * sqrt_delta * gz * dwz + qy * dy_mart, 0.0)
+                    alive, qx * pi * sig * dw + qz * sqrt_delta * gz * dwz + qy * dy_mart
+                    + 0.5 * qxx * (pi * sig) ** 2 * (dw * dw - dt), 0.0)
 
             if collect_drag:
                 if rec.drag_kind == "bump":
