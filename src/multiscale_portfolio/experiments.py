@@ -89,7 +89,8 @@ OUTPUT_DIR_ENV = "MSPORT_OUTPUT_DIR"
 
 RESIDUAL_HEADER = ["epsilon", "delta", "v0", "q", "v_hat", "se", "residual", "resolved",
                    "se_raw", "cv_variance_ratio"]
-OPTIMALITY_HEADER = ["epsilon", "delta", "challenger", "v_hat", "se", "ell_hat", "ell_se", "verdict"]
+OPTIMALITY_HEADER = ["epsilon", "delta", "challenger", "v_hat", "se", "ell_hat", "ell_se", "verdict",
+                     "se_raw", "cv_variance_ratio"]
 INVARIANT_HEADER = ["name", "measured", "tolerance", "verdict"]
 SIMULATION_HEADER = ["strategy", "mean", "se", "n_paths", "floor_hit_rate", "drag_sign_ok"]
 
@@ -576,7 +577,9 @@ def optimality_study(cfg: RunConfig) -> OptimalityStudy:
             ell, ell_se = gap / norm, gap_se / norm
             verdict = "PASS" if ell <= 2.0 * ell_se else "FAIL"
             rows.append(dict(zip(OPTIMALITY_HEADER, (eps, delta, ens.strategy_name, est.mean,
-                                                     est.se, ell, ell_se, verdict))))
+                                                     est.se, ell, ell_se, verdict,
+                                                     est.diagnostics["se_raw"],
+                                                     est.diagnostics["cv_variance_ratio"]))))
             gaps_by_challenger.setdefault(ens.strategy_name, []).append((ell, ell_se))
     verdict = "PASS"
     for gaps in gaps_by_challenger.values():

@@ -26,6 +26,7 @@ from multiscale_portfolio.experiments import (
     residual_order_study,
     run_cli,
     sim_config_for,
+    write_optimality_csv,
     write_residual_csv,
 )
 from multiscale_portfolio.factors import TABLE_COLUMNS
@@ -165,8 +166,12 @@ def test_residual_study_schema_and_resolution(small_residual):
     for r in rows:
         assert r["q"] != r["v0"]  # corrections are active in the reference scenario
         assert np.isfinite(r["se"]) and r["se"] > 0.0
-        # the CV's variance gain, from summarize's diagnostics
-        assert r["cv_variance_ratio"] == (r["se_raw"] / r["se"]) ** 2 > 10.0
+        # the CV's variance gain, from summarize's diagnostics.  The floor at the
+        # small scales needs the Ito term at its coefficient: over five seeds it
+        # read 1,300-5,400 there, and at most 212 and 504 without the term, with
+        # it doubled or with M_x in place of M_xx
+        floor = 1000.0 if r["epsilon"] <= 0.1 else 10.0
+        assert r["cv_variance_ratio"] == (r["se_raw"] / r["se"]) ** 2 > floor
     assert small_residual.verdict in ("PASS", "UNRESOLVED")
 
 
@@ -186,8 +191,13 @@ def test_constant_model_residual_is_statistical_zero(default_cfg):
     assert study.verdict == "UNRESOLVED"
 
 
-def test_optimality_study_small(small_cfg):
-    study = optimality_study(replace(small_cfg, epsilons=(0.4, 0.1), deltas=(0.4, 0.1)))
+@pytest.fixture(scope="module")
+def small_optimality(small_cfg):
+    return optimality_study(replace(small_cfg, epsilons=(0.4, 0.1), deltas=(0.4, 0.1)))
+
+
+def test_optimality_study_small(small_optimality):
+    study = small_optimality
     names = {r["challenger"] for r in study.rows}
     assert "zeroth_order" in names
     assert any(n.startswith("perturbed") for n in names)
@@ -251,6 +261,18 @@ def test_residual_csv_layout(tmp_path, small_residual):
     assert lines[-1].startswith("slope,")
     assert lines[-1].split(",")[7] == small_residual.verdict
     assert {line.count(",") for line in lines} == {9}
+
+
+def test_optimality_csv_layout(tmp_path, small_optimality):
+    path = tmp_path / "optimality.csv"
+    write_optimality_csv(path, small_optimality)
+    lines = path.read_text().splitlines()
+    assert lines[0] == ("epsilon,delta,challenger,v_hat,se,ell_hat,ell_se,verdict,"
+                        "se_raw,cv_variance_ratio")
+    assert len(lines) == 1 + 2 * 3
+    assert {line.count(",") for line in lines} == {9}
+    for r in small_optimality.rows:  # every challenger's own CV diagnostics
+        assert r["cv_variance_ratio"] == (r["se_raw"] / r["se"]) ** 2 > 10.0
 
 
 def test_report_determinism(tmp_path, small_cfg):
@@ -334,6 +356,31 @@ def test_cli_rejects_bad_sim_settings(tmp_path, capsys, setting, flags):
     code = run_cli(["residual-study", "--config", str(bad), "--out", str(tmp_path)] + flags)
     assert code == 2
     assert "config error: bad [sim] settings" in capsys.readouterr().out
+
+
+def test_cli_reports_are_identical_on_one_and_two_forked_workers(tmp_path, caplog):
+    # chunks of 512 paths make every grid point two chunks, so two workers fork
+    small = tmp_path / "small_chunks.cfg"
+    small.write_text(DEFAULT_CONFIG_TEXT.replace("chunk_size = 16384", "chunk_size = 512"))
+    processes = min(2, os.cpu_count() or 1)
+    reports = {}
+    for workers in ("1", "2"):
+        for command, csv in (("residual-study", "residual_study.csv"),
+                             ("optimality-study", "optimality_study.csv")):
+            out = tmp_path / workers / command
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="multiscale_portfolio.experiments"):
+                code = run_cli([command, "--config", str(small), "--out", str(out),
+                                "--paths", "1024", "--workers", workers])
+            assert code in (0, 1)  # 1024 paths may leave a verdict short of PASS
+            lines = [r.getMessage() for r in caplog.records
+                     if r.name == "multiscale_portfolio.experiments"]
+            n_proc = 1 if workers == "1" else processes
+            assert lines and all(f" on {n_proc} process(es), " in ln for ln in lines)
+            reports[workers, command] = [(out / name).read_bytes()
+                                         for name in (csv, "summary.json")]
+    for command in ("residual-study", "optimality-study"):
+        assert reports["1", command] == reports["2", command]
 
 
 def test_workers_without_fork_are_a_config_error(tmp_path, capsys, monkeypatch):

@@ -465,6 +465,30 @@ def test_cv_coefficients_are_computed_once_per_step_per_chunk(monkeypatch, n_str
     assert calls.value == cfg.n_steps * 4
 
 
+def test_a_mixture_step_interpolates_the_merton_table_once_per_strategy(monkeypatch):
+    # the position, the slow bump, the CV's gradients and the drag share one
+    # pack per strategy-step, so the table is read once for each
+    from multiscale_portfolio.merton import MertonTable
+
+    calls = []
+    real = MertonTable._interpolate
+
+    def counted(self, s, logx):
+        calls.append(s.size)
+        return real(self, s, logx)
+
+    monkeypatch.setattr(MertonTable, "_interpolate", counted)
+    model = constant_model(eps=0.4, delta=0.4)
+    b = bundle_for(model, MIXTURE)
+    base = ZerothOrder(b)
+    roster = [base, Perturbed(base, default_fast_bump(0.1), default_slow_bump(0.1, b),
+                              0.25, 0.25, 0.4, 0.4), Scaled(base, 0.5)]
+    cfg = cfg_for(model, n_paths=64, chunk_size=32)
+    run_ensembles(model, roster, b, cfg, collect_drag=True)
+    assert len(calls) == cfg.n_steps * len(roster) * 2  # two chunks
+    assert set(calls) == {32}
+
+
 # -- the chunk pool --------------------------------------------------------------
 
 
@@ -581,18 +605,27 @@ def tanh_model(eps=0.1, vol=0.7):
 @pytest.mark.parametrize("utility, eps, n_paths", [(POWER_HALF, 0.1, 2048), (MIXTURE, 0.4, 512)],
                          ids=["power", "mixture"])
 def test_control_variate_with_the_fast_term_stays_mean_zero(utility, eps, n_paths):
+    # the Ito term weighs each strategy's own position, and the optimality study
+    # subtracts the CV of the perturbed and the scaled challengers too
     model = tanh_model(eps)
     b = bundle_for(model, utility, halfwidth=1.5)
+    base = ZerothOrder(b)
+    roster = [base, Perturbed(base, default_fast_bump(0.1), default_slow_bump(0.1, b),
+                              0.25, 0.25, eps, eps), Scaled(base, 0.5)]
     cfg = cfg_for(model, n_paths=n_paths, chunk_size=n_paths // 2, seed=17)
-    ens = run_ensembles(model, [ZerothOrder(b)], b, cfg)[0]
-    mean, se, _ = paired_mean_se(ens.control_variate, True, cfg.chunk_size)
-    assert abs(mean) <= 4.0 * se
+    ensembles = run_ensembles(model, roster, b, cfg)
+    for ens in ensembles:
+        mean, se, _ = paired_mean_se(ens.control_variate, True, cfg.chunk_size)
+        assert abs(mean) <= 4.0 * se, ens.strategy_name
+    forked = run_ensembles(model, roster, b, replace(cfg, workers=2))
+    for one, two in zip(ensembles, forked):
+        assert one.control_variate.tobytes() == two.control_variate.tobytes()
     # the term is live: with theta_y zeroed the CV changes, and the noise does not
     y_grid, table = b.averages.theta_gradient_table()
     b.averages._theta = (y_grid, np.zeros_like(table))
-    without = run_ensembles(model, [ZerothOrder(b)], b, cfg)[0]
-    assert np.array_equal(ens.x_terminal, without.x_terminal)
-    assert not np.array_equal(ens.control_variate, without.control_variate)
+    without = run_ensembles(model, [base], b, cfg)[0]
+    assert np.array_equal(ensembles[0].x_terminal, without.x_terminal)
+    assert not np.array_equal(ensembles[0].control_variate, without.control_variate)
 
 
 def test_control_variate_with_the_fast_term_is_identical_across_workers():
