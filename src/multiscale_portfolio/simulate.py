@@ -29,13 +29,24 @@ Variance reduction: antithetic pairing within chunks, and an optional
 martingale control variate accumulating the Ito martingale part of the
 first-order value approximation Q along each path,
 
-    CV = sum_n  Q_x dX_mart + Q_z sqrt(delta) g dW^Z + Q_y dY_mart,
+    CV = sum_n  Q_x dX_mart + Q_z sqrt(delta) g dW^Z + Q_y dY_mart
+                + (1/2) Q_xx (pi sigma)^2 (dW^2 - dt),
 
 where dY_mart is the OU step's own noise and Q_y = -(eps/2) theta_y D1 v is
-the y-gradient of the second-order fast term.  Every increment is an adapted
-coefficient times fresh noise, with exactly zero conditional mean, so
+the y-gradient of the second-order fast term.  The last term is the Ito term
+of the Euler wealth step: (dX)^2 = (pi sigma)^2 dW^2, of which the drift
+carries only the mean (pi sigma)^2 dt, so without it an O(dt) residual is
+left on every path.  Every increment is an adapted coefficient times fresh
+noise with exactly zero conditional mean (E[dW^2 - dt | F_t] = 0), so
 subtracting CV from the terminal utility never biases the estimator, for
-any strategy.
+any strategy.  dW^2 is even in the noise: antithetic partners draw the same
+dW^2, so the Ito term does not cancel within a pair.
+
+Each step builds, per strategy, one order-4 Merton pack at (t, x, rms(z))
+(``ExpansionBundle.step_pack``), and every reader of that point reads it:
+the zeroth-order position and the default slow bump (through
+``Strategy.step_position`` and :class:`StepState`), the CV's gradients and
+the drag's v_xx.
 
 Two pathwise sign diagnostics accumulate the monotone drag terms of the
 value comparison: the bump drag -(1/2)(eps^a b10 + delta^b b01)^2 sigma^2 |v_xx|
