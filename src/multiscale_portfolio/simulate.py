@@ -422,6 +422,7 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
         dw = w_std * sqrt_dt
         dwz = wz_std * sqrt_dt
         dy_mart = ou_std * wy_std  # the OU step's noise, which the CV's Q_y term reuses
+        ito_noise = dw * dw - dt  # the CV's Ito term: mean zero, even in the noise
 
         lam = model.sharpe(y, z)
         sig = model.sigma(y, z)
@@ -445,9 +446,10 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
 
             if cfg.control_variate:
                 qx, qz, qy, qxx = bundle.q_gradients(t, x_live, y, z, coefs, pack)
+                pi_sig = pi * sig
                 rec.control_variate += np.where(
-                    alive, qx * pi * sig * dw + qz * sqrt_delta * gz * dwz + qy * dy_mart
-                    + 0.5 * qxx * (pi * sig) ** 2 * (dw * dw - dt), 0.0)
+                    alive, qx * pi_sig * dw + qz * sqrt_delta * gz * dwz + qy * dy_mart
+                    + 0.5 * qxx * pi_sig**2 * ito_noise, 0.0)
 
             if collect_drag:
                 if rec.drag_kind == "bump":
