@@ -159,7 +159,7 @@ class ZerothOrder(Strategy):
 
     def __init__(self, bundle: ExpansionBundle):
         self.bundle = bundle
-        bundle.merton_table()  # set-up: the surface pi_zero reads, built before any step
+        bundle.merton_table()  # set-up: the surface step_pack reads, built before any step
 
     def position(self, t, x, y, z):
         return self.bundle.pi_zero(t, x, y, z)
