@@ -25,18 +25,21 @@ part is of order sqrt(eps), like the first-order terms the CV carries.
 
 The control variate also takes Q_xx ~ M_xx, the weight of the Ito term of the
 wealth step; like every gradient it needs only to be adapted, so the
-approximation moves the CV's variance alone.  The engine reads the order-4
-Merton pack at (t, x; rms(z)) once per strategy-step (``step_pack``): the
-zeroth-order position, the gradients and the drag all come from it.
+approximation moves the CV's variance alone.
 
 The zeroth-order strategy invests pi = (lam(y, z)/sigma(y, z)) R(t, x; rms(z)):
-the local Sharpe-to-vol ratio sized by the averaged risk tolerance.
+the local Sharpe-to-vol ratio sized by the averaged risk tolerance.  A
+:class:`StepState` (``ExpansionBundle.state``) holds one strategy's paths at
+one engine step with the order-4 Merton pack at (t, x; rms(z)); every
+strategy, bump, the control variate's gradients and the drag read that one
+pack, and ``state`` is the one place that handles zero wealth.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -44,9 +47,38 @@ from .factors import TABLE_COLUMNS, FactorAverages, MarketModel, PoissonSolution
 from .merton import MertonTable, _DualCore, merton_pack, solve_merton
 from .utility import UtilitySpec
 
-__all__ = ["ExpansionBundle"]
+__all__ = ["ExpansionBundle", "StepState"]
 
 _Z_STEP = 1e-4  # vega_gamma_check's central-difference step in z, relative to max(1, |z|)
+
+
+@dataclass
+class StepState:
+    """One strategy's paths at one engine step: the state (t, x, y, z), the
+    step's lam/sigma, which paths are alive, the order-4 Merton pack at
+    (t, x; rms(z)) with a stand-in wealth 1 on absorbed paths, how many of its
+    points the table left to the exact dual, and the bundle's (epsilon, delta)."""
+
+    t: float
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    lam_over_sig: np.ndarray
+    alive: np.ndarray
+    pack: dict
+    n_exact: int
+    epsilon: float
+    delta: float
+
+    @cached_property
+    def tolerance(self):
+        """R(t, x; rms(z)), exactly 0 on an absorbed path."""
+        return np.where(self.alive, self.pack["r"], 0.0)
+
+    @cached_property
+    def pi0(self):
+        """The zeroth-order position (lam/sigma) R."""
+        return self.lam_over_sig * self.tolerance
 
 
 class ExpansionBundle:
@@ -55,8 +87,8 @@ class ExpansionBundle:
     Scalar calls accept floats; the vectorized paths accept arrays for x and
     z with a scalar t (the Monte Carlo engine's access pattern).  For a pure
     power utility all evaluations are closed form.  For any other utility the
-    surface the engine reads every step (``step_pack``, and ``risk_tolerance``
-    and so ``pi_zero``) comes from a :class:`MertonTable`, built on first use;
+    surface the engine reads every step (``state`` and so ``pi_zero`` and
+    ``risk_tolerance``) comes from a :class:`MertonTable`, built on first use;
     the value and its corrections stay on the exact dual.
     """
 
@@ -106,22 +138,31 @@ class ExpansionBundle:
         """v(t, x, z) = Merton value at the averaged Sharpe ratio."""
         return self._surface(t, x, z)["m"]
 
-    def risk_tolerance(self, t, x, z):
-        """R(t, x; rms(z)); exactly 0 at zero wealth, so every position built
-        on it (pi_zero, the slow bump) is 0 on an absorbed path."""
+    def state(self, t, x, y, z, rms=None, lam_over_sig=None) -> StepState:
+        """The :class:`StepState` at (t, x, y, z); ``rms`` and ``lam_over_sig``
+        are sharpe_rms(z) and sharpe(y, z)/sigma(y, z) when the caller holds
+        them (y is read only for lam_over_sig).  Paths at zero wealth are
+        absorbed: the pack is read at a stand-in wealth 1, since the dual
+        solve needs x > 0, and their risk tolerance, so every position built
+        on it, is exactly 0."""
         x = np.asarray(x, dtype=float)
-        if self.utility.is_power:
-            return x / (1.0 - self.utility.gamma)
-        alive = x > 0.0  # the dual solve needs x > 0: stand-in wealth 1 at the floor
-        pack = self.step_pack(t, np.where(alive, x, 1.0), self.averages.sharpe_rms(z))[0]
-        return np.where(alive, pack["r"], 0.0)
+        alive = x > 0.0
+        if rms is None:
+            rms = self.averages.sharpe_rms(z)
+        if lam_over_sig is None and y is not None:
+            lam_over_sig = self.model.sharpe(y, z) / self.model.sigma(y, z)
+        pack, n_exact = self.step_pack(t, np.where(alive, x, 1.0), rms)
+        return StepState(t, x, y, z, lam_over_sig, alive, pack, n_exact,
+                         self.model.epsilon, self.model.delta)
+
+    def risk_tolerance(self, t, x, z):
+        """R(t, x; rms(z)), exactly 0 at zero wealth."""
+        return self.state(t, x, None, z).tolerance
 
     def step_pack(self, t, x, rms) -> tuple[dict, int]:
-        """The order-4 Merton pack at (t, x; rms) that one engine step shares
-        among every reader of one strategy's wealth (its position, the control
-        variate's gradients, the drag), and how many of its points the engine's
-        table left to the exact dual (0 for a pure power, which has no table).
-        x must be positive; at t = T the pack is U's own."""
+        """The order-4 Merton pack at (t, x; rms), and how many of its points
+        the engine's table left to the exact dual (0 for a pure power, which
+        has no table).  x must be positive; at t = T the pack is U's own."""
         table, tau = self.merton_table(), self.horizon - t
         if table is None or not tau > 0.0:
             return merton_pack(self.utility, rms, tau, x, order=4), 0
@@ -164,7 +205,7 @@ class ExpansionBundle:
 
     def pi_zero(self, t, x, y, z):
         """Zeroth-order position: local Sharpe over vol, averaged risk tolerance."""
-        return self.model.sharpe(y, z) / self.model.sigma(y, z) * self.risk_tolerance(t, x, z)
+        return self.state(t, x, y, z).pi0
 
     def second_order_fast_diag(self, t, x, y, z: float):
         """-(1/2) theta(y, z) D1 v: expansion-quality diagnostic, not part of Q."""

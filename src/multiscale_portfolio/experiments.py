@@ -51,6 +51,7 @@ from .factors import (
 )
 from .merton import apply_dk, solve_merton
 from .simulate import (
+    AllCash,
     Perturbed,
     Scaled,
     SimConfig,
@@ -334,7 +335,8 @@ def load_run_config(source: str | Path) -> RunConfig:
         )
     _check_sim(cfg)
     try:  # the constructors' checks, and a z-grid covering every z the slow factor reaches
-        build_utility(cfg)
+        solve_merton(build_utility(cfg), cfg.merton_sharpe, cfg.horizon)
+        Perturbed(AllCash(), None, None, cfg.alpha, cfg.beta)
         model = build_model(cfg, cfg.epsilons[0], cfg.deltas[0])
         slow_factor_range(model.slow_drift, model.slow_vol, cfg.z0, max(cfg.deltas) * cfg.horizon)
     except ValueError as exc:
@@ -402,20 +404,13 @@ def _sim_config(cfg: RunConfig, dt: float) -> SimConfig:
                                if f.name != "dt"})
 
 
-def build_challengers(cfg: RunConfig, model: MarketModel,
-                      bundle: ExpansionBundle) -> list:
+def build_challengers(cfg: RunConfig, bundle: ExpansionBundle) -> list:
+    """The zeroth-order strategy and its two challengers.  They read the
+    scales from the engine's steps, so one roster serves every grid point."""
     base = ZerothOrder(bundle)
-    perturbed = Perturbed(
-        base,
-        default_fast_bump(cfg.bump_scale),
-        default_slow_bump(cfg.bump_scale, bundle),
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        epsilon=model.epsilon,
-        delta=model.delta,
-    )
-    scaled = Scaled(base, cfg.scale_factor)
-    return [base, perturbed, scaled]
+    perturbed = Perturbed(base, default_fast_bump(cfg.bump_scale),
+                          default_slow_bump(cfg.bump_scale), cfg.alpha, cfg.beta)
+    return [base, perturbed, Scaled(base, cfg.scale_factor)]
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +552,12 @@ def optimality_study(cfg: RunConfig) -> OptimalityStudy:
     """Normalized value gap of challengers against the zeroth-order strategy."""
     rows = []
     study_bundle = build_bundle(cfg, build_model(cfg, cfg.epsilons[0], cfg.deltas[0]))
+    roster = build_challengers(cfg, study_bundle)
     gaps_by_challenger: dict[str, list] = {}
     for eps, delta in zip(cfg.epsilons, cfg.deltas):
         bundle = study_bundle.with_scales(eps, delta)
         model = bundle.model
         sim_cfg = sim_config_for(cfg, model)
-        roster = build_challengers(cfg, model, bundle)
         start = time.perf_counter()
         ensembles = run_ensembles(model, roster, bundle, sim_cfg)
         _log_point(eps, delta, sim_cfg, len(roster), time.perf_counter() - start)
@@ -869,7 +864,7 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path, terminal_csv: str | None) -> str
     model = build_model(cfg, cfg.epsilons[0], cfg.deltas[0])
     bundle = build_bundle(cfg, model)
     sim_cfg = sim_config_for(cfg, model)
-    roster = build_challengers(cfg, model, bundle)
+    roster = build_challengers(cfg, bundle)
     ensembles = run_ensembles(model, roster, bundle, sim_cfg, collect_drag=True)
     rows = []
     for ens in ensembles:

@@ -42,11 +42,11 @@ subtracting CV from the terminal utility never biases the estimator, for
 any strategy.  dW^2 is even in the noise: antithetic partners draw the same
 dW^2, so the Ito term does not cancel within a pair.
 
-Each step builds, per strategy, one order-4 Merton pack at (t, x, rms(z))
-(``ExpansionBundle.step_pack``), and every reader of that point reads it:
-the zeroth-order position and the default slow bump (through
-``Strategy.step_position`` and :class:`StepState`), the CV's gradients and
-the drag's v_xx.
+Each step builds, per strategy, one :class:`StepState`
+(``ExpansionBundle.state``): the state with the order-4 Merton pack at
+(t, x, rms(z)).  A strategy is a function of that step (``Strategy.position``,
+and a bump of :class:`Perturbed` likewise), and the CV's gradients and the
+drag's v_xx read the same pack.
 
 Two pathwise sign diagnostics accumulate the monotone drag terms of the
 value comparison: the bump drag -(1/2)(eps^a b10 + delta^b b01)^2 sigma^2 |v_xx|
@@ -63,16 +63,14 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
-from .asymptotics import ExpansionBundle
+from .asymptotics import ExpansionBundle, StepState
 from .factors import MarketModel
 
 __all__ = [
     "SimConfig",
-    "StepState",
     "Strategy",
     "AllCash",
     "ZerothOrder",
@@ -103,44 +101,14 @@ _STEP_DIVISOR = 20  # dt must resolve the fastest scale: dt <= min(eps, delta)/2
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StepState:
-    """One strategy's paths at one engine step: the state (t, x, y, z), the
-    step's lam/sigma, which paths are alive, and the order-4 Merton pack at
-    (t, x_live; rms(z)) that every reader of that point shares, with x_live
-    the wealth with a stand-in 1 at the floor."""
-
-    t: float
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    lam_over_sig: np.ndarray
-    alive: np.ndarray
-    pack: dict
-
-    @cached_property
-    def tolerance(self):
-        """R(t, x; rms(z)), exactly 0 on an absorbed path."""
-        return np.where(self.alive, self.pack["r"], 0.0)
-
-    @cached_property
-    def pi0(self):
-        """The zeroth-order position, ``ExpansionBundle.pi_zero`` at this step."""
-        return self.lam_over_sig * self.tolerance
-
-
 class Strategy:
-    """Feedback strategy: dollar position as a function of (t, x, y, z)."""
+    """Feedback strategy: dollar position as a function of the engine step
+    (:class:`StepState`), hence adapted by construction."""
 
     name = "strategy"
 
-    def position(self, t, x, y, z):
+    def position(self, step: StepState):
         raise NotImplementedError
-
-    def step_position(self, step: StepState):
-        """The position at an engine step; a strategy that reads the step's
-        Merton pack overrides this, any other needs only ``position``."""
-        return self.position(step.t, step.x, step.y, step.z)
 
 
 class AllCash(Strategy):
@@ -148,8 +116,8 @@ class AllCash(Strategy):
 
     name = "all_cash"
 
-    def position(self, t, x, y, z):
-        return np.zeros(np.shape(x))
+    def position(self, step):
+        return np.zeros(np.shape(step.x))
 
 
 class ZerothOrder(Strategy):
@@ -158,13 +126,9 @@ class ZerothOrder(Strategy):
     name = "zeroth_order"
 
     def __init__(self, bundle: ExpansionBundle):
-        self.bundle = bundle
-        bundle.merton_table()  # set-up: the surface step_pack reads, built before any step
+        bundle.merton_table()  # set-up: the surface the steps read, built before any step
 
-    def position(self, t, x, y, z):
-        return self.bundle.pi_zero(t, x, y, z)
-
-    def step_position(self, step):
+    def position(self, step):
         return step.pi0
 
 
@@ -176,23 +140,19 @@ class Scaled(Strategy):
         self.factor = float(factor)
         self.name = f"scaled_{factor:g}_{base.name}"
 
-    def position(self, t, x, y, z):
-        return self.factor * self.base.position(t, x, y, z)
-
-    def step_position(self, step):
-        return self.factor * self.base.step_position(step)
+    def position(self, step):
+        return self.factor * self.base.position(step)
 
 
 class Perturbed(Strategy):
     """base + eps^alpha * fast_bump + delta^beta * slow_bump.
 
-    Bumps are feedback functionals of the current state, hence adapted by
-    construction.  alpha and beta are the perturbation powers; eps and delta
-    are taken from the market model driving the run.
+    Bumps are functions of the engine step, like strategies.  alpha and beta
+    are the perturbation powers; eps and delta are the step's, which the
+    engine checks against the market model driving the run.
     """
 
-    def __init__(self, base: Strategy, fast_bump, slow_bump,
-                 alpha: float, beta: float, epsilon: float, delta: float):
+    def __init__(self, base: Strategy, fast_bump, slow_bump, alpha: float, beta: float):
         if alpha <= 0.0 or beta <= 0.0:
             raise ValueError("perturbation powers must be strictly positive")
         self.base = base
@@ -200,53 +160,30 @@ class Perturbed(Strategy):
         self.slow_bump = slow_bump
         self.alpha = float(alpha)
         self.beta = float(beta)
-        self.eps_pow = float(epsilon) ** alpha
-        self.delta_pow = float(delta) ** beta
         self.name = f"perturbed_{base.name}"
 
-    def bumps(self, t, x, y, z):
-        return self.fast_bump(t, x, y, z), self.slow_bump(t, x, y, z)
+    def bumps(self, step):
+        """The fast and slow bumps at the step, and their sizes eps^alpha, delta^beta."""
+        return (self.fast_bump(step), self.slow_bump(step),
+                step.epsilon ** self.alpha, step.delta ** self.beta)
 
-    def step_bumps(self, step):
-        """``bumps`` at an engine step; a bump with an ``at_step`` method reads
-        the step's Merton pack through it."""
-        return tuple(bump.at_step(step) if hasattr(bump, "at_step")
-                     else bump(step.t, step.x, step.y, step.z)
-                     for bump in (self.fast_bump, self.slow_bump))
-
-    def position(self, t, x, y, z):
-        b10, b01 = self.bumps(t, x, y, z)
-        return self.base.position(t, x, y, z) + self.eps_pow * b10 + self.delta_pow * b01
-
-    def step_position(self, step):
-        b10, b01 = self.step_bumps(step)
-        return self.base.step_position(step) + self.eps_pow * b10 + self.delta_pow * b01
+    def position(self, step):
+        b10, b01, e, d = self.bumps(step)
+        return self.base.position(step) + e * b10 + d * b01
 
 
 def default_fast_bump(scale: float):
     """Bounded, wealth-capped bump c * min(1 + |y|, x); vanishes at zero wealth."""
-    def bump(t, x, y, z):
-        return scale * np.minimum(1.0 + np.abs(y), np.asarray(x, dtype=float))
+    def bump(step):
+        return scale * np.minimum(1.0 + np.abs(step.y), step.x)
     return bump
 
 
-class _ToleranceBump:
-    """c * R(t, x; rms(z)); at an engine step, R is the step's."""
-
-    def __init__(self, scale: float, bundle: ExpansionBundle):
-        self.scale = scale
-        self.bundle = bundle
-
-    def __call__(self, t, x, y, z):
-        return self.scale * self.bundle.risk_tolerance(t, x, z)
-
-    def at_step(self, step):
-        return self.scale * step.tolerance
-
-
-def default_slow_bump(scale: float, bundle: ExpansionBundle):
+def default_slow_bump(scale: float):
     """Bump proportional to the averaged risk tolerance c * R(t, x; rms(z))."""
-    return _ToleranceBump(scale, bundle)
+    def bump(step):
+        return scale * step.tolerance
+    return bump
 
 
 # ---------------------------------------------------------------------------
@@ -435,26 +372,23 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
 
         for strat, rec in zip(strategies, recs):
             x = rec.x_terminal
-            alive = x > 0.0
-            # paths at the floor get a stand-in wealth of 1 and no CV or drag increment
-            x_live = np.where(alive, x, 1.0)
-            # one Merton pack per strategy-step: the position, the CV and the drag read it
-            pack, n_exact = bundle.step_pack(t, x_live, rms)
-            rec.surface_exact_points += n_exact
-            point = StepState(t, x, y, z, lam_over_sig, alive, pack)
-            pi = strat.step_position(point)
+            # one step state per strategy-step: the position, the CV and the drag read
+            # its pack, and paths at the floor get no CV or drag increment
+            point = bundle.state(t, x, y, z, rms, lam_over_sig)
+            rec.surface_exact_points += point.n_exact
+            pi = strat.position(point)
 
             if cfg.control_variate:
-                qx, qz, qy, qxx = bundle.q_gradients(t, x_live, y, z, coefs, pack)
+                qx, qz, qy, qxx = bundle.q_gradients(t, x, y, z, coefs, point.pack)
                 pi_sig = pi * sig
                 rec.control_variate += np.where(
-                    alive, qx * pi_sig * dw + qz * sqrt_delta * gz * dwz + qy * dy_mart
+                    point.alive, qx * pi_sig * dw + qz * sqrt_delta * gz * dwz + qy * dy_mart
                     + 0.5 * qxx * pi_sig**2 * ito_noise, 0.0)
 
             if collect_drag:
                 if rec.drag_kind == "bump":
-                    b10, b01 = strat.step_bumps(point)
-                    weight = (strat.eps_pow * b10 + strat.delta_pow * b01) ** 2
+                    b10, b01, e, d = strat.bumps(point)
+                    weight = (e * b10 + d * b01) ** 2
                     rec.bump_sums += np.array(
                         [
                             [np.sum(b), np.sum(b**2), np.sum(b**3), np.sum(b**4)]
@@ -463,12 +397,12 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
                     )
                 else:
                     weight = (pi - point.pi0) ** 2
-                sel = alive & (weight != 0.0)
-                inc = np.where(sel, 0.5 * weight * sig**2 * pack["m_xx"] * dt, 0.0)
+                sel = point.alive & (weight != 0.0)
+                inc = np.where(sel, 0.5 * weight * sig**2 * point.pack["m_xx"] * dt, 0.0)
                 np.maximum(rec.drag_max_increment, inc, out=rec.drag_max_increment)
 
             x_new = wealth_step(x, pi, mu, sig, dt, dw)
-            rec.floor_hit |= alive & (x_new <= 0.0)
+            rec.floor_hit |= point.alive & (x_new <= 0.0)
             rec.x_terminal = x_new
 
         z = z + model.delta * model.slow_drift(z) * dt + sqrt_delta * gz * dwz

@@ -234,7 +234,7 @@ def test_criterion_7_drag_sign_tests(reference_cfg):
     model = build_model(cfg, 0.1, 0.1)
     bundle = build_bundle(cfg, model)
     sim_cfg = sim_config_for(cfg, model)
-    base, perturbed, scaled = build_challengers(cfg, model, bundle)
+    base, perturbed, scaled = build_challengers(cfg, bundle)
     ens_p = simulate_paths(model, perturbed, bundle, sim_cfg)
     verdict_p = bump_drag_diagnostic(ens_p)
     ens_s = simulate_paths(model, scaled, bundle, sim_cfg)

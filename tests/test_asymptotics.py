@@ -111,19 +111,25 @@ def test_zero_wealth_takes_no_position(utility):
     from multiscale_portfolio.simulate import default_slow_bump
 
     b = make_bundle("affine_z_tanh_y", [0.5, 0.25, 0.35], utility=utility)
-    bump = default_slow_bump(0.1, b)
+    bump = default_slow_bump(0.1)
     x = np.array([0.0, 0.5, 0.0, 2.0, 1.0])
     y = np.array([0.3, -0.2, 1.0, 0.1, -1.5])
     z = np.array([0.1, -0.2, 0.0, 0.3, 0.2])
     for f in (lambda x, y, z: b.pi_zero(0.3, x, y, z),
               lambda x, y, z: b.risk_tolerance(0.3, x, z),
-              lambda x, y, z: bump(0.3, x, y, z)):
+              lambda x, y, z: b.state(0.3, x, y, z).pi0,
+              lambda x, y, z: b.state(0.3, x, y, z).tolerance,
+              lambda x, y, z: bump(b.state(0.3, x, y, z))):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # zero wealth never reaches the solver
             vec = f(x, y, z)
             assert vec.shape == x.shape
             for i in range(x.size):
                 assert vec[i] == (0.0 if x[i] == 0.0 else f(x[i], y[i], z[i]))
+    # the public reads are the step's own numbers
+    step = b.state(0.3, x, y, z)
+    assert b.pi_zero(0.3, x, y, z).tobytes() == step.pi0.tobytes()
+    assert b.risk_tolerance(0.3, x, z).tobytes() == step.tolerance.tobytes()
 
 
 def test_pi_zero_uses_local_sharpe():

@@ -431,8 +431,12 @@ def _edited_default(*edits):
     [("kind = power\ngamma = 0.5",
       "kind = power_mixture\nweights = 1.0\nexponents = 0.5, 0.25")],
     [("slow_drift = mean_revert", "slow_drift = zero")],
+    [("alpha = 0.25", "alpha = 0")],
+    [("beta = 0.25", "beta = -0.5")],
+    [("[merton]\nsharpe = 0.5", "[merton]\nsharpe = -0.5")],
 ], ids=["sharpe_name", "sigma_name", "deltas", "correlations", "fast_vol", "sigma_params",
-        "gamma", "sharpe_params", "const_sharpe_params", "mixture_lengths", "zero_drift_params"])
+        "gamma", "sharpe_params", "const_sharpe_params", "mixture_lengths", "zero_drift_params",
+        "alpha", "beta", "merton_sharpe"])
 def test_cli_rejects_settings_the_constructors_reject(tmp_path, capsys, edits):
     bad = tmp_path / "bad.cfg"
     bad.write_text(_edited_default(*edits))
@@ -563,7 +567,7 @@ def test_cached_grid_covers_a_slow_factor_drifting_away_from_z0(default_cfg, slo
     model = build_model(cfg, 0.4, 0.4)
     bundle = build_bundle(cfg, model)
     assert bundle.averages.z_grid[-1] > 1.0 - np.exp(-0.4)
-    roster = build_challengers(cfg, model, bundle)
+    roster = build_challengers(cfg, bundle)
     for ens in run_ensembles(model, roster, bundle, sim_config_for(cfg, model)):
         assert np.all(np.isfinite(ens.control_variate))
 
@@ -582,7 +586,7 @@ def test_shared_factor_table_keeps_strategies_and_workers_apart(default_cfg):
     cfg = replace(default_cfg, n_paths=2000, chunk_size=500)
     model = build_model(cfg, 0.4, 0.4)
     bundle = build_bundle(cfg, model)
-    roster = build_challengers(cfg, model, bundle)
+    roster = build_challengers(cfg, bundle)
     runs = [
         run_ensembles(model, roster, bundle, sim_config_for(replace(cfg, workers=w), model))
         for w in (1, 2)

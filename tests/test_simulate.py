@@ -205,9 +205,9 @@ class AbortsOnePath(Strategy):
     def __init__(self, path):
         self.path = path
 
-    def position(self, t, x, y, z):
-        pi = 0.5 * np.asarray(x, dtype=float)
-        if t == 0.0:
+    def position(self, step):
+        pi = 0.5 * np.asarray(step.x, dtype=float)
+        if step.t == 0.0:
             pi[self.path] = np.nan
         return pi
 
@@ -269,9 +269,9 @@ def test_fast_factor_matches_stationary_distribution():
     # exact OU stepping keeps Y at its stationary law N(mean, vol^2); started
     # at the mean, Y is stationary to 1e-9 in variance by t = 1 - dt
     class LastY(AllCash):
-        def position(self, t, x, y, z):
-            self.y = np.array(y)
-            return super().position(t, x, y, z)
+        def position(self, step):
+            self.y = np.array(step.y)
+            return super().position(step)
 
     model = constant_model()
     strat = LastY()
@@ -285,20 +285,19 @@ def test_fast_factor_matches_stationary_distribution():
     assert abs(np.std(strat.y, ddof=1) - vol) <= 4.0 * vol / math.sqrt(2.0 * (n - 1))
 
 
-def perturbed_for(model, b, scale=0.15):
+def perturbed_for(b, scale=0.15):
     return Perturbed(
         ZerothOrder(b),
         default_fast_bump(scale),
-        default_slow_bump(scale, b),
+        default_slow_bump(scale),
         alpha=0.25, beta=0.25,
-        epsilon=model.epsilon, delta=model.delta,
     )
 
 
 def test_bump_drag_sign_is_exact():
     model = constant_model()
     b = bundle_for(model)
-    ens = simulate_paths(model, perturbed_for(model, b), b, cfg_for(model, n_paths=2048))
+    ens = simulate_paths(model, perturbed_for(b), b, cfg_for(model, n_paths=2048))
     verdict = bump_drag_diagnostic(ens)
     assert verdict.passed
     assert verdict.max_increment < 0.0  # nonzero bumps give strictly negative drag
@@ -308,9 +307,8 @@ def test_bump_drag_sign_is_exact():
 def test_zero_bumps_give_zero_drag():
     model = constant_model()
     b = bundle_for(model)
-    zero_bump = lambda t, x, y, z: np.zeros(np.shape(x))
-    strat = Perturbed(ZerothOrder(b), zero_bump, zero_bump, alpha=0.25, beta=0.25,
-                      epsilon=model.epsilon, delta=model.delta)
+    zero_bump = lambda step: np.zeros(np.shape(step.x))
+    strat = Perturbed(ZerothOrder(b), zero_bump, zero_bump, alpha=0.25, beta=0.25)
     ens = simulate_paths(model, strat, b, cfg_for(model, n_paths=512))
     verdict = bump_drag_diagnostic(ens)
     assert verdict.passed
@@ -344,7 +342,7 @@ def test_diagnostic_type_checks():
                                 cfg_for(model, n_paths=512))
     with pytest.raises(ValueError):
         bump_drag_diagnostic(ens_scaled)
-    ens_pert = simulate_paths(model, perturbed_for(model, b), b, cfg_for(model, n_paths=512))
+    ens_pert = simulate_paths(model, perturbed_for(b), b, cfg_for(model, n_paths=512))
     with pytest.raises(ValueError):
         mismatch_drag_diagnostic(ens_pert)
     ens_plain = run_ensembles(model, [AllCash()], b, cfg_for(model, n_paths=512))[0]
@@ -352,12 +350,25 @@ def test_diagnostic_type_checks():
         mismatch_drag_diagnostic(ens_plain)
 
 
+def test_perturbed_bump_sizes_follow_the_step_scales():
+    # one roster serves every grid point: eps^alpha and delta^beta are the step's
+    b = bundle_for(constant_model())
+    strat = perturbed_for(b)
+    x, y, z = np.array([0.0, 0.5, 2.0]), np.array([0.3, -0.2, 1.0]), np.zeros(3)
+    for eps, delta in ((0.1, 0.1), (0.4, 0.2)):
+        step = b.with_scales(eps, delta).state(0.3, x, y, z)
+        b10, b01, e, d = strat.bumps(step)
+        assert (e, d) == (eps ** 0.25, delta ** 0.25)
+        assert strat.position(step).tobytes() == (step.pi0 + e * b10 + d * b01).tobytes()
+        assert strat.position(step)[0] == 0.0  # nothing at zero wealth
+
+
 def test_perturbation_powers_must_be_positive():
     model = constant_model()
     b = bundle_for(model)
     with pytest.raises(ValueError):
-        Perturbed(ZerothOrder(b), default_fast_bump(0.1), default_slow_bump(0.1, b),
-                  alpha=0.0, beta=0.25, epsilon=0.1, delta=0.1)
+        Perturbed(ZerothOrder(b), default_fast_bump(0.1), default_slow_bump(0.1),
+                  alpha=0.0, beta=0.25)
 
 
 def test_common_random_numbers_couple_strategies():
@@ -414,8 +425,8 @@ def test_off_table_path_steps_are_counted():
 class HalfWealth(Strategy):
     """Half of wealth in the asset; reads no Merton surface."""
 
-    def position(self, t, x, y, z):
-        return 0.5 * np.asarray(x)
+    def position(self, step):
+        return 0.5 * np.asarray(step.x)
 
 
 def test_mixture_table_is_built_once_under_workers(monkeypatch):
@@ -481,8 +492,8 @@ def test_a_mixture_step_interpolates_the_merton_table_once_per_strategy(monkeypa
     model = constant_model(eps=0.4, delta=0.4)
     b = bundle_for(model, MIXTURE)
     base = ZerothOrder(b)
-    roster = [base, Perturbed(base, default_fast_bump(0.1), default_slow_bump(0.1, b),
-                              0.25, 0.25, 0.4, 0.4), Scaled(base, 0.5)]
+    roster = [base, Perturbed(base, default_fast_bump(0.1), default_slow_bump(0.1),
+                              0.25, 0.25), Scaled(base, 0.5)]
     cfg = cfg_for(model, n_paths=64, chunk_size=32)
     run_ensembles(model, roster, b, cfg, collect_drag=True)
     assert len(calls) == cfg.n_steps * len(roster) * 2  # two chunks
@@ -499,7 +510,7 @@ class ChunkFailure(RuntimeError):
 class Failing(Strategy):
     """Raises inside the chunk, as a strategy bug would."""
 
-    def position(self, t, x, y, z):
+    def position(self, step):
         raise ChunkFailure("position failed")
 
 
@@ -572,8 +583,8 @@ def test_chunk_counters_come_back_from_the_children():
     model = constant_model(eps=0.4, delta=0.4)
     b = bundle_for(model, MIXTURE)
     base = ZerothOrder(b)
-    roster = [base, Perturbed(base, default_fast_bump(0.1), default_slow_bump(0.1, b),
-                              0.25, 0.25, model.epsilon, model.delta), Scaled(base, 0.5)]
+    roster = [base, Perturbed(base, default_fast_bump(0.1), default_slow_bump(0.1),
+                              0.25, 0.25), Scaled(base, 0.5)]
     runs = []
     for workers in (1, 2):
         cfg = cfg_for(model, n_paths=32, chunk_size=16, workers=workers)
@@ -610,8 +621,8 @@ def test_control_variate_with_the_fast_term_stays_mean_zero(utility, eps, n_path
     model = tanh_model(eps)
     b = bundle_for(model, utility, halfwidth=1.5)
     base = ZerothOrder(b)
-    roster = [base, Perturbed(base, default_fast_bump(0.1), default_slow_bump(0.1, b),
-                              0.25, 0.25, eps, eps), Scaled(base, 0.5)]
+    roster = [base, Perturbed(base, default_fast_bump(0.1), default_slow_bump(0.1),
+                              0.25, 0.25), Scaled(base, 0.5)]
     cfg = cfg_for(model, n_paths=n_paths, chunk_size=n_paths // 2, seed=17)
     ensembles = run_ensembles(model, roster, b, cfg)
     for ens in ensembles:
