@@ -31,10 +31,7 @@ from .simulate import (
     SimConfig,
     ValueEstimate,
     ZerothOrder,
-    bump_drag_diagnostic,
     estimate_value,
-    mismatch_drag_diagnostic,
-    simulate_paths,
 )
 from .utility import UtilitySpec, make_utility
 
@@ -56,15 +53,12 @@ __all__ = [
     "ZerothOrder",
     "apply_dk",
     "averaged_sharpe",
-    "bump_drag_diagnostic",
     "estimate_value",
     "fast_coupling",
     "invariant_average",
     "make_utility",
     "merton_strategy",
-    "mismatch_drag_diagnostic",
     "residual_of_pde",
-    "simulate_paths",
     "solve_merton",
     "__version__",
 ]

@@ -32,7 +32,9 @@ the local Sharpe-to-vol ratio sized by the averaged risk tolerance.  A
 :class:`StepState` (``ExpansionBundle.state``) holds one strategy's paths at
 one engine step with the order-4 Merton pack at (t, x; rms(z)); every
 strategy, bump, the control variate's gradients and the drag read that one
-pack, and ``state`` is the one place that handles zero wealth.
+pack, and ``state`` is the one place that handles zero wealth.  A
+perturbed strategy leaves its bumps on the step (``StepState.bumps``), so
+the engine's bump moments read the values its position used.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ class StepState:
     """One strategy's paths at one engine step: the state (t, x, y, z), the
     step's lam/sigma, which paths are alive, the order-4 Merton pack at
     (t, x; rms(z)) with a stand-in wealth 1 on absorbed paths, how many of its
-    points the table left to the exact dual, and the bundle's (epsilon, delta)."""
+    points the table left to the exact dual, and the bundle's (epsilon, delta).
+    ``bumps`` is the (fast, slow) pair a ``Perturbed`` position set on the
+    step, and None for every other strategy."""
 
     t: float
     x: np.ndarray
@@ -69,6 +73,7 @@ class StepState:
     n_exact: int
     epsilon: float
     delta: float
+    bumps: tuple | None = None
 
     @cached_property
     def tolerance(self):

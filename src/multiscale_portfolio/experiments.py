@@ -391,9 +391,13 @@ def sim_config_for(cfg: RunConfig, model: MarketModel) -> SimConfig:
 
 def _check_sim(cfg: RunConfig) -> None:
     """ConfigError unless the [sim] settings make a SimConfig, whose checks
-    are the rules (any positive step passes them; the grid sets the real one)."""
+    are the rules (any positive step passes them; the grid sets the real one),
+    with a positive x0: every study compares with Q(0, x0, z0)."""
     try:
         _sim_config(cfg, cfg.horizon)
+        if cfg.x0 <= 0.0:
+            raise ValueError(f"x0 = {cfg.x0!r} must be positive; the studies compare "
+                             "with Q(0, x0, z0)")
     except ValueError as exc:
         raise ConfigError(f"bad [sim] settings: {exc}") from None
 
@@ -566,7 +570,7 @@ def optimality_study(cfg: RunConfig) -> OptimalityStudy:
         base_stat = base.utility_terminal - base.control_variate
         for ens in ensembles:
             stat = ens.utility_terminal - ens.control_variate
-            est = summarize(ens, sim_cfg.chunk_size, cfg.control_variate)
+            est = summarize(ens, sim_cfg.chunk_size)
             gap, gap_se, _ = paired_mean_se(stat - base_stat, sim_cfg.antithetic,
                                             sim_cfg.chunk_size)
             ell, ell_se = gap / norm, gap_se / norm
@@ -868,7 +872,7 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path, terminal_csv: str | None) -> str
     ensembles = run_ensembles(model, roster, bundle, sim_cfg, collect_drag=True)
     rows = []
     for ens in ensembles:
-        est = summarize(ens, sim_cfg.chunk_size, cfg.control_variate)
+        est = summarize(ens, sim_cfg.chunk_size)
         rows.append(dict(zip(SIMULATION_HEADER, (ens.strategy_name, est.mean, est.se, est.n_paths,
                                                  est.floor_hit_rate,
                                                  est.diagnostics["drag_sign_ok"]))))

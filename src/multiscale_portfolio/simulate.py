@@ -48,11 +48,13 @@ Each step builds, per strategy, one :class:`StepState`
 and a bump of :class:`Perturbed` likewise), and the CV's gradients and the
 drag's v_xx read the same pack.
 
-Two pathwise sign diagnostics accumulate the monotone drag terms of the
-value comparison: the bump drag -(1/2)(eps^a b10 + delta^b b01)^2 sigma^2 |v_xx|
-for perturbations of the zeroth-order strategy, and the mismatch drag
--(1/2)(pi - pi0)^2 sigma^2 |v_xx| for any other strategy.  Concavity makes
-every increment nonpositive; the verdicts are exact sign tests.
+With ``collect_drag`` the engine accumulates, for every strategy, the
+monotone drag of the value comparison, -(1/2)(pi - pi0)^2 sigma^2 |v_xx|,
+keeping each path's largest increment.  For a perturbation
+pi0 + eps^a b10 + delta^b b01 of the zeroth-order strategy it is the bump
+term, and the engine also sums the moments of the bumps that
+``Perturbed.position`` left on the step.  Concavity makes every increment
+nonpositive; ``summarize`` reads the exact sign test.
 """
 
 from __future__ import annotations
@@ -80,14 +82,10 @@ __all__ = [
     "default_slow_bump",
     "PathEnsemble",
     "ValueEstimate",
-    "DragVerdict",
-    "simulate_paths",
     "estimate_value",
     "paired_mean_se",
     "run_ensembles",
     "engine_processes",
-    "bump_drag_diagnostic",
-    "mismatch_drag_diagnostic",
     "wealth_step",
 ]
 
@@ -149,7 +147,9 @@ class Perturbed(Strategy):
 
     Bumps are functions of the engine step, like strategies.  alpha and beta
     are the perturbation powers; eps and delta are the step's, which the
-    engine checks against the market model driving the run.
+    engine checks against the market model driving the run.  ``position``
+    leaves the bumps on the step (``StepState.bumps``) for the engine's
+    bump moments.
     """
 
     def __init__(self, base: Strategy, fast_bump, slow_bump, alpha: float, beta: float):
@@ -162,14 +162,10 @@ class Perturbed(Strategy):
         self.beta = float(beta)
         self.name = f"perturbed_{base.name}"
 
-    def bumps(self, step):
-        """The fast and slow bumps at the step, and their sizes eps^alpha, delta^beta."""
-        return (self.fast_bump(step), self.slow_bump(step),
-                step.epsilon ** self.alpha, step.delta ** self.beta)
-
     def position(self, step):
-        b10, b01, e, d = self.bumps(step)
-        return self.base.position(step) + e * b10 + d * b01
+        base = self.base.position(step)
+        step.bumps = b10, b01 = self.fast_bump(step), self.slow_bump(step)
+        return base + step.epsilon ** self.alpha * b10 + step.delta ** self.beta * b01
 
 
 def default_fast_bump(scale: float):
@@ -254,7 +250,6 @@ class PathEnsemble:
     control_variate: np.ndarray
     floor_hit: np.ndarray
     surface_exact_points: int = 0          # path-steps off the Merton table's box
-    drag_kind: str | None = None          # "bump" | "mismatch" | None
     drag_max_increment: np.ndarray | None = None
     bump_sums: np.ndarray | None = None    # sums of b^1..b^4, rows (fast, slow)
 
@@ -280,18 +275,6 @@ class ValueEstimate:
     n_effective: int
     floor_hit_rate: float
     diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class DragVerdict:
-    """Exact sign test on the accumulated monotone drag increments."""
-
-    kind: str
-    n_paths: int
-    max_increment: float
-    n_positive_paths: int
-    passed: bool
-    per_path_pass: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +322,8 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
     recs = [PathEnsemble(strat.name, n_chunk, n_steps, cfg.antithetic,
                          np.full(n_chunk, cfg.x0), None, np.zeros(n_chunk),
                          np.zeros(n_chunk, dtype=bool)) for strat in strategies]
-    for strat, rec in zip(strategies, recs if collect_drag else ()):
-        rec.drag_kind = "bump" if isinstance(strat, Perturbed) else "mismatch"
+    for rec in recs if collect_drag else ():
         rec.drag_max_increment = np.full(n_chunk, -np.inf)
-        if rec.drag_kind == "bump":
-            rec.bump_sums = np.zeros((2, 4))
 
     y = np.full(n_chunk, cfg.y0)
     z = np.full(n_chunk, cfg.z0)
@@ -386,17 +366,11 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
                     + 0.5 * qxx * pi_sig**2 * ito_noise, 0.0)
 
             if collect_drag:
-                if rec.drag_kind == "bump":
-                    b10, b01, e, d = strat.bumps(point)
-                    weight = (e * b10 + d * b01) ** 2
-                    rec.bump_sums += np.array(
-                        [
-                            [np.sum(b), np.sum(b**2), np.sum(b**3), np.sum(b**4)]
-                            for b in (b10, b01)
-                        ]
-                    )
-                else:
-                    weight = (pi - point.pi0) ** 2
+                if point.bumps is not None:
+                    sums = np.array([[np.sum(b), np.sum(b**2), np.sum(b**3), np.sum(b**4)]
+                                     for b in point.bumps])
+                    rec.bump_sums = sums if rec.bump_sums is None else rec.bump_sums + sums
+                weight = (pi - point.pi0) ** 2
                 sel = point.alive & (weight != 0.0)
                 inc = np.where(sel, 0.5 * weight * sig**2 * point.pack["m_xx"] * dt, 0.0)
                 np.maximum(rec.drag_max_increment, inc, out=rec.drag_max_increment)
@@ -455,8 +429,6 @@ def run_ensembles(model: MarketModel, strategies: list[Strategy],
                          "move the bundle with with_scales".format(*scales))
     _validate_step(model, cfg)
     bounds = _chunk_bounds(cfg.n_paths, cfg.chunk_size)
-    if cfg.antithetic and any((b - a) % 2 for a, b in bounds):
-        raise ValueError("antithetic pairing requires even chunk lengths")
 
     job = (model, strategies, bundle, cfg, collect_drag)
     n_proc = engine_processes(cfg)
@@ -507,12 +479,6 @@ def _merge(records: list[PathEnsemble]) -> PathEnsemble:
     )
 
 
-def simulate_paths(model: MarketModel, strategy: Strategy, bundle: ExpansionBundle,
-                   cfg: SimConfig, collect_drag: bool = True) -> PathEnsemble:
-    """Simulate one strategy; drag diagnostics are streamed by default."""
-    return run_ensembles(model, [strategy], bundle, cfg, collect_drag=collect_drag)[0]
-
-
 def _pair_statistics(values: np.ndarray, antithetic: bool, chunk_size: int):
     if not antithetic:
         return values
@@ -541,16 +507,18 @@ def paired_mean_se(values: np.ndarray, antithetic: bool,
     return float(np.sum(per_obs) / n_eff), se, n_eff
 
 
-def summarize(ensemble: PathEnsemble, chunk_size: int,
-              control_variate: bool) -> ValueEstimate:
-    """Mean/SE of terminal utility by ``paired_mean_se``, with the control
-    variate subtracted when ``control_variate``.  The diagnostics carry the
-    SE without it (``se_raw``), the variance reduction (se_raw / se)^2
-    (``cv_variance_ratio``, 1 without the CV) and the aborted paths."""
+def summarize(ensemble: PathEnsemble, chunk_size: int) -> ValueEstimate:
+    """Mean/SE of terminal utility minus the control variate by
+    ``paired_mean_se`` (a run without the CV carries a CV of exactly 0).
+    The diagnostics carry the SE of the utility alone (``se_raw``), the
+    variance reduction (se_raw / se)^2 (``cv_variance_ratio``, 1 without the
+    CV), the aborted paths and, with the drag, its exact sign test: the
+    largest increment (``drag_max_increment``), the paths with a positive one
+    (``drag_positive_paths``) and whether there are none (``drag_sign_ok``)."""
     raw = ensemble.utility_terminal
-    stat = raw - ensemble.control_variate if control_variate else raw
-    mean, se, n_eff = paired_mean_se(stat, ensemble.antithetic, chunk_size)
-    se_raw = paired_mean_se(raw, ensemble.antithetic, chunk_size)[1] if control_variate else se
+    mean, se, n_eff = paired_mean_se(raw - ensemble.control_variate, ensemble.antithetic,
+                                     chunk_size)
+    se_raw = paired_mean_se(raw, ensemble.antithetic, chunk_size)[1]
     n_aborted = int(np.sum(~np.isfinite(raw)))
     cv = ensemble.control_variate[np.isfinite(ensemble.control_variate)]
     diagnostics = {
@@ -561,10 +529,12 @@ def summarize(ensemble: PathEnsemble, chunk_size: int,
         "surface_exact_points": ensemble.surface_exact_points,
         "bump_moments": ensemble.bump_moments,
     }
-    if ensemble.drag_max_increment is not None:
-        verdict = _drag_verdict(ensemble)
-        diagnostics["drag_sign_ok"] = verdict.passed
-        diagnostics["drag_max_increment"] = verdict.max_increment
+    inc = ensemble.drag_max_increment  # every step adds an increment, so no -inf is left
+    if inc is not None:
+        positive = int(np.sum(~(inc <= 0.0)))
+        diagnostics["drag_sign_ok"] = positive == 0
+        diagnostics["drag_max_increment"] = float(np.max(inc))
+        diagnostics["drag_positive_paths"] = positive
     return ValueEstimate(
         mean=mean,
         se=se,
@@ -579,42 +549,7 @@ def estimate_value(model: MarketModel, strategy: Strategy, bundle: ExpansionBund
                    cfg: SimConfig) -> ValueEstimate:
     """Monte Carlo estimate of E[U(X_T)] under one strategy."""
     ens = run_ensembles(model, [strategy], bundle, cfg, collect_drag=False)[0]
-    return summarize(ens, cfg.chunk_size, cfg.control_variate)
-
-
-# ---------------------------------------------------------------------------
-# drag diagnostics
-# ---------------------------------------------------------------------------
-
-
-def _drag_verdict(ensemble: PathEnsemble) -> DragVerdict:
-    inc = ensemble.drag_max_increment  # every step adds an increment, so no -inf is left
-    per_path_pass = inc <= 0.0
-    return DragVerdict(
-        kind=ensemble.drag_kind,
-        n_paths=ensemble.n_paths,
-        max_increment=float(np.max(inc)),
-        n_positive_paths=int(np.sum(~per_path_pass)),
-        passed=bool(np.all(per_path_pass)),
-        per_path_pass=per_path_pass,
-    )
-
-
-def bump_drag_diagnostic(ensemble: PathEnsemble) -> DragVerdict:
-    """Sign test on the perturbation drag; requires a Perturbed strategy."""
-    if ensemble.drag_kind != "bump":
-        raise ValueError(
-            "bump drag applies to perturbations of the zeroth-order strategy; "
-            "use mismatch_drag_diagnostic for other strategies"
-        )
-    return _drag_verdict(ensemble)
-
-
-def mismatch_drag_diagnostic(ensemble: PathEnsemble) -> DragVerdict:
-    """Sign test on the strategy-mismatch drag (any strategy vs zeroth order)."""
-    if ensemble.drag_kind != "mismatch":
-        raise ValueError("ensemble does not carry mismatch drag accumulators")
-    return _drag_verdict(ensemble)
+    return summarize(ens, cfg.chunk_size)
 
 
 def write_terminal_records(ensemble: PathEnsemble, fh) -> None:

@@ -36,10 +36,8 @@ from multiscale_portfolio.merton import solve_merton
 from multiscale_portfolio.simulate import (
     Scaled,
     ZerothOrder,
-    bump_drag_diagnostic,
-    mismatch_drag_diagnostic,
+    paired_mean_se,
     run_ensembles,
-    simulate_paths,
     summarize,
     _pair_statistics,
 )
@@ -205,8 +203,9 @@ def test_criterion_6_asymptotic_optimality(reference_cfg):
     closed = x0**gamma / gamma * math.exp(
         (factor - 0.5 * factor**2) * gamma * lam**2 * horizon / (1.0 - gamma)
     )
-    raw = summarize(ensembles[1], sim_cfg.chunk_size, control_variate=False)
-    b_value_ok = abs(raw.mean - closed) <= 3.0 * raw.se
+    raw_mean, raw_se, _ = paired_mean_se(ensembles[1].utility_terminal, sim_cfg.antithetic,
+                                         sim_cfg.chunk_size)
+    b_value_ok = abs(raw_mean - closed) <= 3.0 * raw_se
     diff = _pair_statistics(
         (ensembles[1].utility_terminal - ensembles[1].control_variate)
         - (ensembles[0].utility_terminal - ensembles[0].control_variate),
@@ -221,7 +220,7 @@ def test_criterion_6_asymptotic_optimality(reference_cfg):
         "criterion 6 (asymptotic optimality)",
         a_ok and b_value_ok and b_gap_ok and elapsed <= 900.0,
         f"(a) max gap/SE {max(r['ell_hat'] / max(r['ell_se'], 1e-300) for r in pert_rows):.2f}"
-        f" <= 2; (b) |V - closed| = {abs(raw.mean - closed):.2e} <= {3 * raw.se:.2e}, "
+        f" <= 2; (b) |V - closed| = {abs(raw_mean - closed):.2e} <= {3 * raw_se:.2e}, "
         f"gap {ell:.4f} < 0 resolved ({abs(ell) / max(ell_se, 1e-300):.0f} SE); "
         f"{elapsed:.0f}s <= 900s",
     )
@@ -235,19 +234,18 @@ def test_criterion_7_drag_sign_tests(reference_cfg):
     bundle = build_bundle(cfg, model)
     sim_cfg = sim_config_for(cfg, model)
     base, perturbed, scaled = build_challengers(cfg, bundle)
-    ens_p = simulate_paths(model, perturbed, bundle, sim_cfg)
-    verdict_p = bump_drag_diagnostic(ens_p)
-    ens_s = simulate_paths(model, scaled, bundle, sim_cfg)
-    verdict_s = mismatch_drag_diagnostic(ens_s)
+    ens_p, ens_s = run_ensembles(model, [perturbed, scaled], bundle, sim_cfg, collect_drag=True)
+    verdict_p = summarize(ens_p, sim_cfg.chunk_size).diagnostics
+    verdict_s = summarize(ens_s, sim_cfg.chunk_size).diagnostics
     elapsed = time.monotonic() - t0
     report(
         "criterion 7 (pathwise drag sign tests)",
-        verdict_p.passed and verdict_s.passed
-        and verdict_p.max_increment <= 0.0 and verdict_s.max_increment <= 0.0
+        verdict_p["drag_sign_ok"] and verdict_s["drag_sign_ok"]
+        and verdict_p["drag_max_increment"] <= 0.0 and verdict_s["drag_max_increment"] <= 0.0
         and elapsed <= 60.0,
-        f"bump max increment {verdict_p.max_increment:.3e} <= 0, "
-        f"mismatch max increment {verdict_s.max_increment:.3e} <= 0 on "
-        f"{verdict_p.n_paths} paths, {elapsed:.0f}s <= 60s",
+        f"bump max increment {verdict_p['drag_max_increment']:.3e} <= 0, "
+        f"mismatch max increment {verdict_s['drag_max_increment']:.3e} <= 0 on "
+        f"{ens_p.n_paths} paths, {elapsed:.0f}s <= 60s",
     )
 
 

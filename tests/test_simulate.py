@@ -29,16 +29,13 @@ from multiscale_portfolio.simulate import (
     SimConfig,
     Strategy,
     ZerothOrder,
-    bump_drag_diagnostic,
     default_fast_bump,
     default_slow_bump,
     dt_for,
     engine_processes,
     estimate_value,
-    mismatch_drag_diagnostic,
     paired_mean_se,
     run_ensembles,
-    simulate_paths,
     summarize,
     wealth_step,
     write_terminal_records,
@@ -174,7 +171,7 @@ def test_absorption_is_sticky_and_reported():
     b = bundle_for(model)
     # an absurdly leveraged strategy guarantees floor hits
     strat = Scaled(ZerothOrder(b), 60.0)
-    ens = simulate_paths(model, strat, b, cfg_for(model, n_paths=2048), collect_drag=False)
+    ens = run_ensembles(model, [strat], b, cfg_for(model, n_paths=2048))[0]
     assert np.mean(ens.floor_hit) > 0.5
     hit = ens.floor_hit
     assert np.all(ens.x_terminal[hit] == 0.0)
@@ -190,8 +187,10 @@ def test_absorbed_paths_stop_feeding_the_control_variate(utility):
     cfg = cfg_for(model, n_paths=64, chunk_size=64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the CV gradients never see a wealth <= 0
-        ens = simulate_paths(model, Scaled(ZerothOrder(b), 60.0), b, cfg)
-        broke = simulate_paths(model, ZerothOrder(b), b, replace(cfg, x0=0.0))
+        ens = run_ensembles(model, [Scaled(ZerothOrder(b), 60.0)], b, cfg,
+                            collect_drag=True)[0]
+        broke = run_ensembles(model, [ZerothOrder(b)], b, replace(cfg, x0=0.0),
+                              collect_drag=True)[0]
     assert np.mean(ens.floor_hit) > 0.5
     assert np.all(np.isfinite(ens.control_variate)) and np.any(ens.control_variate != 0.0)
     assert np.all(broke.control_variate == 0.0)
@@ -229,7 +228,7 @@ def test_an_aborted_path_drops_its_antithetic_pair(caplog):
         assert np.flatnonzero(~np.isfinite(pairs)).tolist() == [5]
         return np.delete(pairs, 5)
 
-    est = summarize(aborted, cfg.chunk_size, control_variate=True)
+    est = summarize(aborted, cfg.chunk_size)
     pairs = surviving_pairs(aborted.utility_terminal - aborted.control_variate)
     assert est.diagnostics["aborted_paths"] == 1
     assert est.n_effective == cfg.n_paths // 2 - 1
@@ -294,14 +293,19 @@ def perturbed_for(b, scale=0.15):
     )
 
 
+def drag_of(model, strat, b, cfg):
+    """The drag diagnostics of one strategy's run."""
+    ens = run_ensembles(model, [strat], b, cfg, collect_drag=True)[0]
+    return ens, summarize(ens, cfg.chunk_size).diagnostics
+
+
 def test_bump_drag_sign_is_exact():
     model = constant_model()
     b = bundle_for(model)
-    ens = simulate_paths(model, perturbed_for(b), b, cfg_for(model, n_paths=2048))
-    verdict = bump_drag_diagnostic(ens)
-    assert verdict.passed
-    assert verdict.max_increment < 0.0  # nonzero bumps give strictly negative drag
-    assert verdict.n_positive_paths == 0
+    _, verdict = drag_of(model, perturbed_for(b), b, cfg_for(model, n_paths=2048))
+    assert verdict["drag_sign_ok"]
+    assert verdict["drag_max_increment"] < 0.0  # nonzero bumps give strictly negative drag
+    assert verdict["drag_positive_paths"] == 0
 
 
 def test_zero_bumps_give_zero_drag():
@@ -309,10 +313,9 @@ def test_zero_bumps_give_zero_drag():
     b = bundle_for(model)
     zero_bump = lambda step: np.zeros(np.shape(step.x))
     strat = Perturbed(ZerothOrder(b), zero_bump, zero_bump, alpha=0.25, beta=0.25)
-    ens = simulate_paths(model, strat, b, cfg_for(model, n_paths=512))
-    verdict = bump_drag_diagnostic(ens)
-    assert verdict.passed
-    assert verdict.max_increment == 0.0
+    ens, verdict = drag_of(model, strat, b, cfg_for(model, n_paths=512))
+    assert verdict["drag_sign_ok"]
+    assert verdict["drag_max_increment"] == 0.0
     assert np.all(ens.drag_max_increment == 0.0)
 
 
@@ -320,34 +323,53 @@ def test_mismatch_drag_scaled_and_all_cash():
     model = constant_model()
     b = bundle_for(model)
     for strat in (Scaled(ZerothOrder(b), 0.5), AllCash()):
-        ens = simulate_paths(model, strat, b, cfg_for(model, n_paths=2048))
-        verdict = mismatch_drag_diagnostic(ens)
-        assert verdict.passed
-        assert verdict.max_increment < 0.0
+        _, verdict = drag_of(model, strat, b, cfg_for(model, n_paths=2048))
+        assert verdict["drag_sign_ok"]
+        assert verdict["drag_max_increment"] < 0.0
 
 
 def test_mismatch_drag_vanishes_for_base_strategy():
     model = constant_model()
     b = bundle_for(model)
-    ens = simulate_paths(model, ZerothOrder(b), b, cfg_for(model, n_paths=512))
-    verdict = mismatch_drag_diagnostic(ens)
-    assert verdict.passed
-    assert verdict.max_increment == 0.0
+    _, verdict = drag_of(model, ZerothOrder(b), b, cfg_for(model, n_paths=512))
+    assert verdict["drag_sign_ok"]
+    assert verdict["drag_max_increment"] == 0.0
 
 
-def test_diagnostic_type_checks():
+def test_every_strategy_carries_one_drag():
+    # one drag, (pi - pi0)^2, for every strategy; only a perturbation has bumps
     model = constant_model()
     b = bundle_for(model)
-    ens_scaled = simulate_paths(model, Scaled(ZerothOrder(b), 0.5), b,
-                                cfg_for(model, n_paths=512))
-    with pytest.raises(ValueError):
-        bump_drag_diagnostic(ens_scaled)
-    ens_pert = simulate_paths(model, perturbed_for(b), b, cfg_for(model, n_paths=512))
-    with pytest.raises(ValueError):
-        mismatch_drag_diagnostic(ens_pert)
-    ens_plain = run_ensembles(model, [AllCash()], b, cfg_for(model, n_paths=512))[0]
-    with pytest.raises(ValueError):
-        mismatch_drag_diagnostic(ens_plain)
+    base = ZerothOrder(b)
+    roster = [base, perturbed_for(b), Scaled(base, 0.5), AllCash()]
+    cfg = cfg_for(model, n_paths=512)
+    with_drag = run_ensembles(model, roster, b, cfg, collect_drag=True)
+    for ens in with_drag:
+        diag = summarize(ens, cfg.chunk_size).diagnostics
+        assert diag["drag_sign_ok"] and diag["drag_positive_paths"] == 0
+        assert (diag["drag_max_increment"] == 0.0) == (ens.strategy_name == base.name)
+        assert bool(diag["bump_moments"]) == ens.strategy_name.startswith("perturbed")
+    for ens in run_ensembles(model, roster, b, cfg):
+        diag = summarize(ens, cfg.chunk_size).diagnostics
+        assert "drag_sign_ok" not in diag and diag["bump_moments"] == {}
+
+
+def test_bumps_run_once_per_strategy_step_with_or_without_the_drag():
+    calls = []
+
+    def counted_bump(step):
+        calls.append(1)
+        return np.minimum(1.0, step.x)
+
+    model = constant_model(eps=0.4, delta=0.4)
+    b = bundle_for(model)
+    strat = Perturbed(ZerothOrder(b), counted_bump, default_slow_bump(0.1), 0.25, 0.25)
+    cfg = cfg_for(model, n_paths=32, chunk_size=32)
+    assert cfg.n_steps == 50
+    for collect_drag in (False, True):
+        calls.clear()
+        run_ensembles(model, [strat], b, cfg, collect_drag=collect_drag)
+        assert len(calls) == cfg.n_steps
 
 
 def test_perturbed_bump_sizes_follow_the_step_scales():
@@ -357,10 +379,11 @@ def test_perturbed_bump_sizes_follow_the_step_scales():
     x, y, z = np.array([0.0, 0.5, 2.0]), np.array([0.3, -0.2, 1.0]), np.zeros(3)
     for eps, delta in ((0.1, 0.1), (0.4, 0.2)):
         step = b.with_scales(eps, delta).state(0.3, x, y, z)
-        b10, b01, e, d = strat.bumps(step)
-        assert (e, d) == (eps ** 0.25, delta ** 0.25)
-        assert strat.position(step).tobytes() == (step.pi0 + e * b10 + d * b01).tobytes()
-        assert strat.position(step)[0] == 0.0  # nothing at zero wealth
+        pi = strat.position(step)
+        b10, b01 = step.bumps
+        e, d = eps ** 0.25, delta ** 0.25
+        assert pi.tobytes() == (step.pi0 + e * b10 + d * b01).tobytes()
+        assert pi[0] == 0.0  # nothing at zero wealth
 
 
 def test_perturbation_powers_must_be_positive():
@@ -400,7 +423,7 @@ def test_summarize_pairs_antithetic_partners():
     b = bundle_for(model)
     cfg = cfg_for(model, n_paths=4096, control_variate=False)
     ens = run_ensembles(model, [ZerothOrder(b)], b, cfg)[0]
-    est = summarize(ens, cfg.chunk_size, control_variate=False)
+    est = summarize(ens, cfg.chunk_size)
     assert est.n_effective == 2048
     assert est.n_paths == 4096
 
@@ -700,9 +723,21 @@ def test_summarize_reports_the_raw_se_and_the_variance_ratio():
     b = bundle_for(model, halfwidth=1.5)
     cfg = cfg_for(model, n_paths=1024, chunk_size=512)
     ens = run_ensembles(model, [ZerothOrder(b)], b, cfg)[0]
-    with_cv = summarize(ens, cfg.chunk_size, control_variate=True)
-    raw = summarize(ens, cfg.chunk_size, control_variate=False)
-    assert with_cv.diagnostics["se_raw"] == raw.se == raw.diagnostics["se_raw"]
-    assert raw.diagnostics["cv_variance_ratio"] == 1.0
+    with_cv = summarize(ens, cfg.chunk_size)
+    raw_se = paired_mean_se(ens.utility_terminal, cfg.antithetic, cfg.chunk_size)[1]
+    assert with_cv.diagnostics["se_raw"] == raw_se
     ratio = with_cv.diagnostics["cv_variance_ratio"]
-    assert ratio == (raw.se / with_cv.se) ** 2 and ratio > 10.0
+    assert ratio == (raw_se / with_cv.se) ** 2 and ratio > 10.0
+
+
+def test_summarize_without_the_control_variate_is_the_raw_estimate():
+    # a run without the CV carries a CV of exactly 0, so subtracting it moves no bit
+    model = tanh_model(0.2)
+    b = bundle_for(model, halfwidth=1.5)
+    cfg = cfg_for(model, n_paths=1024, chunk_size=512, control_variate=False)
+    ens = run_ensembles(model, [ZerothOrder(b)], b, cfg)[0]
+    assert np.all(ens.control_variate == 0.0)
+    est = summarize(ens, cfg.chunk_size)
+    mean, se, n_eff = paired_mean_se(ens.utility_terminal, cfg.antithetic, cfg.chunk_size)
+    assert (est.mean, est.se, est.diagnostics["se_raw"], est.n_effective) == (mean, se, se, n_eff)
+    assert est.diagnostics["cv_variance_ratio"] == 1.0
