@@ -113,24 +113,30 @@ class _DualCore:
     def derivs(self, lam, tau, y, order: int = 2, value: bool = True, nodes=None):
         """Dual value Vt (None unless ``value``) and y-derivatives up to `order`
         (max 4) at array y; ``nodes`` is ``_quadrature(lam, tau, y)`` when the
-        caller already holds it."""
-        u = self.utility
+        caller already holds it.
+
+        With x_i = I(y e_i), the (k+1)-th y-derivative of Ut(y e_i) is
+        -e_i^(k+1) I^(k)(y e_i), where I' = 1/U'', I'' = -U'''/U''^3 and
+        I''' = (3 U'''^2 - U'' U'''')/U''^5 at x_i.  U and U'' ... U'''' come
+        from one ``derivatives`` call, one power per mixture component, and
+        the powers of e_i and of U'' are products of ones already formed."""
         ef, ye, x = self._quadrature(lam, tau, y) if nodes is None else nodes
-        out = [self._expect(u.u(x) - ye * x) if value else None]
+        d = self.utility.derivatives(x, order)
+        out = [self._expect(d[0] - ye * x) if value else None]
         if order >= 1:
             out.append(-self._expect(x * ef))
         if order >= 2:
-            u2 = u.du(x, 2)
+            u2, ef2 = d[2], ef * ef
             i1 = 1.0 / u2
-            out.append(-self._expect(i1 * ef**2))
+            out.append(-self._expect(i1 * ef2))
         if order >= 3:
-            u3 = u.du(x, 3)
-            i2 = -u3 / u2**3
-            out.append(-self._expect(i2 * ef**3))
+            u3, u2_2 = d[3], u2 * u2
+            i2 = -u3 / (u2_2 * u2)
+            out.append(-self._expect(i2 * (ef2 * ef)))
         if order >= 4:
-            u4 = u.du(x, 4)
-            i3 = (3.0 * u3**2 - u2 * u4) / u2**5
-            out.append(-self._expect(i3 * ef**4))
+            u4 = d[4]
+            i3 = (3.0 * u3**2 - u2 * u4) / (u2_2 * u2_2 * u2)
+            out.append(-self._expect(i3 * (ef2 * ef2)))
         return out
 
     def marginal_value(self, lam, tau, x):
@@ -481,9 +487,6 @@ class MertonSolution:
 
     def value(self, t, x):
         return self.surface(t, x, order=2)["m"]
-
-    def value_xx(self, t, x):
-        return self.surface(t, x, order=2)["m_xx"]
 
     def risk_tolerance(self, t, x):
         return self.surface(t, x, order=2)["r"]

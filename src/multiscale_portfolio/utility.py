@@ -11,7 +11,11 @@ the risk tolerance R(x) = -U'(x)/U''(x), and the inverse marginal utility
 I(y) = (U')^{-1}(y).  For a pure power I is closed form; mixtures are
 inverted with a damped Newton iteration in log-log coordinates (U' is smooth,
 strictly decreasing and log-log convex, so the iteration is globally safe
-with a step clamp).
+with a step clamp).  It iterates in t = log x and forms no power: with
+p_i = c_i exp((g_i - 1) t), U'(x) = sum p_i and x U''(x) = sum (g_i - 1) p_i,
+so a step costs one exp per component and one log.  ``derivatives(x, k)``
+gives U, U', ..., U^(k) together from one power x**(g_i - k) per component,
+multiplied up by x.
 """
 
 from __future__ import annotations
@@ -82,6 +86,26 @@ class UtilitySpec:
             out = out + coef * np.power(x, g - k)
         return out if out.ndim else float(out)
 
+    def derivatives(self, x, k: int) -> list:
+        """[U(x), U'(x), ..., U^(k)(x)] for k in 0..4, from one power x**(g - k)
+        per component, which U^(j) takes times x**(k - j) by repeated products.
+        Each entry is within a few ulps of ``u`` or ``du``: the terms of one
+        order share a sign, so the sums do not cancel."""
+        if k not in (0, 1, 2, 3, 4):
+            raise ValueError(f"derivative order must be in 0..4, got {k}")
+        x = np.asarray(x, dtype=float)
+        sums = [0.0] * (k + 1)
+        for c, g in zip(self.weights, self.exponents):
+            coefs = [c / g, c]  # U^(j) = sum of coefs[j] x**(g - j)
+            for j in range(1, k):
+                coefs.append(coefs[-1] * (g - j))
+            term = np.power(x, g - k)
+            for j in range(k, -1, -1):
+                sums[j] = sums[j] + coefs[j] * term
+                if j:
+                    term = term * x
+        return sums
+
     def risk_tolerance(self, x):
         """R(x) = -U'(x)/U''(x); strictly increasing with R(0+) = 0."""
         return -self.du(x, 1) / self.du(x, 2)
@@ -111,7 +135,8 @@ class UtilitySpec:
     # -- internals ---------------------------------------------------------
 
     def _invert_marginal_newton(self, y):
-        # Solve log U'(e^t) = log y; d/dt log U'(e^t) = -x/R(x) in [-1/(1-gmin), -1/(1-gmax)].
+        # Solve log U'(e^t) = log y; d/dt log U'(e^t) = x U''/U' = -x/R(x) lies in
+        # [-1/(1-gmin), -1/(1-gmax)].  U' and x U'' are sums of p_i = c_i e^((g_i-1) t).
         gmax = max(self.exponents)
         gmin = min(self.exponents)
         cmax = self.weights[self.exponents.index(gmax)]
@@ -130,10 +155,14 @@ class UtilitySpec:
         # rounding level, which the dual's 1e-14 stop on sums of I needs.
         todo = np.arange(t.size)
         for _ in range(_NEWTON_MAX_ITER):
-            x = np.exp(t[todo])
-            u1 = self.du(x, 1)
+            t_live = t[todo]
+            u1 = x_u2 = 0.0
+            for c, g in zip(self.weights, self.exponents):
+                p = c * np.exp((g - 1.0) * t_live)
+                u1 = u1 + p
+                x_u2 = x_u2 + (g - 1.0) * p
             resid = np.log(u1) - logy[todo]
-            slope = x * self.du(x, 2) / u1  # strictly negative
+            slope = x_u2 / u1  # strictly negative
             t[todo] += np.clip(-resid / slope, -2.0, 2.0)
             live = np.abs(resid) > _NEWTON_REL_TOL
             if not live.any():

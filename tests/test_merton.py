@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from multiscale_portfolio.merton import (
+    TABLE_S_NODES,
     TABLE_X_RANGE,
     MertonTable,
     _DualCore,
@@ -246,6 +247,26 @@ def test_dual_evaluate_reuses_the_newton_nodes(monkeypatch):
     assert np.array_equal(pack["m_x4"], vyyyy / vyy**4 - 3.0 * vyyy**2 / vyy**5)
     assert np.array_equal(pack["r_xx"],
                           (vyyy / vyy + y * (vyyyy * vyy - vyyy**2) / vyy**2) / vyy)
+
+
+def test_table_build_calls_du_only_for_the_newton_seeds(monkeypatch):
+    # the inverse-marginal Newton and the derivative sums form no du of their
+    # own: the only du call of a dual solve is marginal_value's power-proxy seed
+    calls = {"du": 0, "seed": 0}
+    du, marginal_value = type(MIXTURE).du, _DualCore.marginal_value
+
+    def counted_du(self, x, k):
+        calls["du"] += 1
+        return du(self, x, k)
+
+    def counted_marginal_value(self, *args):
+        calls["seed"] += 1
+        return marginal_value(self, *args)
+
+    monkeypatch.setattr(type(MIXTURE), "du", counted_du)
+    monkeypatch.setattr(_DualCore, "marginal_value", counted_marginal_value)
+    MertonTable(_DualCore(MIXTURE), 2.5)
+    assert calls["du"] == calls["seed"] == TABLE_S_NODES
 
 
 def test_power_pack_from_one_power_matches_the_utility():
