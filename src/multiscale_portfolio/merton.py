@@ -40,9 +40,12 @@ reference scenario) by x in [1e-4, 1e4] (81 log-spaced nodes).  Against the
 dual at 20,000 random points over the box (power mixture, weights (1, 1),
 exponents (0.5, 0.25), s_max = 2.5) it agrees to 1.5e-8 relative on m_x and
 m_xx, 5e-9 on r and 1e-8 on r_x, and x r_xx to 1.2e-8 absolute; the tests
-certify 1e-7.  Points off the box are evaluated by the dual itself.  The
-value m and everything the tests and studies compare against stay on the
-dual.
+certify 1e-7.  The rows are solved as a sweep in s: each row's Newton starts
+from log y* extrapolated (cubic from the fourth row on) from the rows already
+solved, which about halves the build's Newton passes, so a table node's bits
+depend on the nodes below it in s at the same x, never on the other x of its
+row.  Points off the box are evaluated by the dual itself.  The value m and
+everything the tests and studies compare against stay on the dual.
 
 The wealth-differential operators D_k = R^k d^k/dx^k and the linearized
 Merton operator d/dt + (1/2) lam^2 D_2 + lam^2 D_1 are exposed through
@@ -139,18 +142,20 @@ class _DualCore:
             out.append(-self._expect(i3 * (ef2 * ef2)))
         return out
 
-    def marginal_value(self, lam, tau, x):
+    def marginal_value(self, lam, tau, x, offset=0.0):
         """Solve x = -Vt_y(t, y) for y = M_x(t, x); Newton in log y, each point
         stopping at its own convergence, so a point's bits never depend on
-        the other points in the batch.  Returns y and, one row per point, the
-        inverse marginal I(y e_i) of the iterate that converged."""
+        the other points in the batch.  The Newton starts at the power proxy
+        log U'(x) + (1/2) lam^2 tau ae/(1 - ae) plus ``offset`` (per point or
+        scalar; :class:`MertonTable` moves it to its extrapolation in s).
+        Returns y and, one row per point, the inverse marginal I(y e_i) of the
+        iterate that converged."""
         u = self.utility
         x = np.asarray(x, dtype=float)
         lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), x.shape).reshape(-1)
         logx = np.log(x).reshape(-1)
-        # Power-proxy seed using the asymptotic elasticity.
         ae = u.asymptotic_elasticity
-        v = np.log(u.du(x, 1)).reshape(-1) + 0.5 * lam_arr**2 * tau * ae / (1.0 - ae)
+        v = (np.log(u.du(x, 1)) + offset).reshape(-1) + 0.5 * lam_arr**2 * tau * ae / (1.0 - ae)
         todo = np.arange(v.size)
         inverse = np.empty((v.size, self.nodes.size))
         for _ in range(80):
@@ -166,14 +171,17 @@ class _DualCore:
             slope = y * vyy / vy  # d log(-Vt_y) / d log y, strictly negative
             v[todo] += np.clip(-resid / slope, -1.5, 1.5)
         else:
-            worst = float(np.max(np.abs(resid)))
+            worst = int(np.argmax(np.abs(resid)))
             raise RuntimeError(
-                f"dual first-order condition did not converge (max residual {worst:.3e})"
+                f"dual first-order condition did not converge (max residual "
+                f"{abs(resid[worst]):.3e} at x = {x.reshape(-1)[todo[worst]]:.6g}, "
+                f"lam = {lam_arr[todo[worst]]:.6g})"
             )
         return np.exp(v).reshape(x.shape), inverse
 
-    def evaluate(self, lam, tau, x, order: int = 2) -> dict:
-        """Primal surface at (tau, x) with per-point Sharpe ratio lam.
+    def evaluate(self, lam, tau, x, order: int = 2, offset=0.0) -> dict:
+        """Primal surface at (tau, x) with per-point Sharpe ratio lam; ``offset``
+        moves the Newton seed of ``marginal_value``.
 
         Returns a dict with m, m_x, m_xx, r, and (order >= 3) r_x, m_x3,
         (order >= 4) r_xx, m_x4.
@@ -182,7 +190,7 @@ class _DualCore:
         shape = x.shape
         x = x.reshape(-1)  # a scalar takes the array path too, and gets its bits
         lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), shape).reshape(-1)
-        ystar, inverse = self.marginal_value(lam_arr, tau, x)
+        ystar, inverse = self.marginal_value(lam_arr, tau, x, offset)
         ef = self._factors(lam_arr, tau)  # the Newton's own nodes at y*: no second inversion
         d = self.derivs(lam_arr, tau, ystar, order=order, nodes=(ef, ystar[:, None] * ef, inverse))
         vt, vy, vyy = d[0], d[1], d[2]
@@ -210,6 +218,9 @@ class _DualCore:
 TABLE_S_NODES = 25
 TABLE_X_NODES = 81
 TABLE_X_RANGE = (1e-4, 1e4)
+# polynomial extrapolation to the next node of a uniform grid from the last
+# 1, 2, 3 or 4 nodes, newest first
+_SWEEP_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
 
 
 class MertonTable:
@@ -218,11 +229,16 @@ class MertonTable:
     The dual depends on (lam, tau) only through s, so one table serves every
     Sharpe ratio and time with lam^2 tau <= s_max.  Each s-node is one
     ``dual.evaluate`` call over the log-x nodes (row by row, which keeps the
-    build's memory flat).  The columns log m_x, r/x, r_x and x r_xx are
-    stacked into one not-a-knot tensor cubic, evaluated with one interval
-    lookup and one Horner pass; m_xx = -m_x/r.  The pack holds m_x, m_xx, r,
-    r_x and r_xx, not m.  Points off the (s, x) box go to the exact dual,
-    never to an extrapolation.
+    build's memory flat), swept upward in s: row 0 starts its Newton at the
+    power proxy, which is exact at s = 0, and every later row at the
+    polynomial extrapolation of log y* through up to four rows below it
+    (``_SWEEP_WEIGHTS``).  A node's bits thus depend on the nodes below it in
+    s at the same x, and never on the other x of its row.  A row whose solve
+    fails raises a ``RuntimeError`` naming its s.  The columns log m_x, r/x,
+    r_x and x r_xx are stacked into one not-a-knot tensor cubic, evaluated
+    with one interval lookup and one Horner pass; m_xx = -m_x/r.  The pack
+    holds m_x, m_xx, r, r_x and r_xx, not m.  Points off the (s, x) box go to
+    the exact dual, never to an extrapolation.
     """
 
     def __init__(self, dual: _DualCore, s_max: float):
@@ -234,8 +250,19 @@ class MertonTable:
         logx = np.linspace(np.log(TABLE_X_RANGE[0]), np.log(TABLE_X_RANGE[1]), TABLE_X_NODES)
         x = np.exp(logx)
         nodes = np.empty((4, s.size, x.size))
+        ae = dual.utility.asymptotic_elasticity
         for i, s_i in enumerate(s):
-            p = dual.evaluate(np.sqrt(s_i), 1.0, x, order=4)
+            offset = 0.0  # row 0: the power proxy is exact at s = 0
+            if i:
+                # seed at log y* extrapolated from the rows below; row 0's
+                # log y* stands in for the proxy's log U'(x)
+                weights = _SWEEP_WEIGHTS[min(i, len(_SWEEP_WEIGHTS)) - 1]
+                guess = sum(w * nodes[0, i - 1 - j] for j, w in enumerate(weights))
+                offset = guess - nodes[0, 0] - 0.5 * s_i * ae / (1.0 - ae)
+            try:
+                p = dual.evaluate(np.sqrt(s_i), 1.0, x, order=4, offset=offset)
+            except RuntimeError as err:
+                raise RuntimeError(f"Merton table row s = {s_i:.6g} failed: {err}") from err
             nodes[:, i] = np.log(p["m_x"]), p["r"] / x, p["r_x"], x * p["r_xx"]
         # c[a, i, b, j, col] multiplies ds^(3 - a) dlogx^(3 - b) on cell (i, j)
         c = CubicSpline(s, CubicSpline(logx, nodes, axis=2).c, axis=3).c

@@ -66,3 +66,18 @@ def test_dual_depends_on_lam_and_tau_only_through_lam2_tau(u, lam, tau, stretch,
     two = dual.evaluate(lam2, tau2, x, order=3)
     for k in one:
         assert abs(two[k] / one[k] - 1.0) <= 1e-12, k
+
+
+@PROPERTY
+@given(u=mixtures((0.1, 0.8)), lam=st.floats(0.05, 1.0), tau=st.floats(0.05, 1.0),
+       x=st.lists(log_uniform(1e-3, 1e3), min_size=1, max_size=8),
+       offset=st.floats(-1.0, 1.0))
+def test_dual_newton_seed_offset_moves_only_the_start(u, lam, tau, x, offset):
+    # the Newton stops at 1e-14 on log(-Vt_y) wherever it starts
+    x = np.array(x)
+    dual = _DualCore(u)
+    moved = dual.evaluate(lam, tau, x, order=4, offset=offset)
+    proxy = dual.evaluate(lam, tau, x, order=4)
+    for k in ("m_x", "m_xx", "r", "r_x"):
+        assert np.max(np.abs(moved[k] / proxy[k] - 1.0)) <= 1e-12, k
+    assert np.max(x * np.abs(moved["r_xx"] - proxy["r_xx"])) <= 1e-12

@@ -269,6 +269,52 @@ def test_table_build_calls_du_only_for_the_newton_seeds(monkeypatch):
     assert calls["du"] == calls["seed"] == TABLE_S_NODES
 
 
+def test_table_sweep_seeds_each_row_from_the_rows_below(monkeypatch):
+    # the rows' Newton seeds come from the solved rows below them in s, so
+    # the 25-row build takes at most 60 Newton passes (99 from the proxy)
+    calls = {"newton": 0}
+    derivs = _DualCore.derivs
+
+    def counted_derivs(self, *args, **kwargs):
+        calls["newton"] += kwargs.get("value") is False
+        return derivs(self, *args, **kwargs)
+
+    monkeypatch.setattr(_DualCore, "derivs", counted_derivs)
+    MertonTable(_DualCore(MIXTURE), 2.5)
+    assert TABLE_S_NODES <= calls["newton"] <= 60
+
+
+def test_dual_non_convergence_names_the_point(monkeypatch):
+    # a first-order condition that never settles at one point: its -Vt_y
+    # flips by 1e-9 on every pass, so its residual stays far above 1e-14
+    derivs = _DualCore.derivs
+    flip = {"sign": 1.0}
+
+    def wobbling_derivs(self, lam, tau, y, *args, **kwargs):
+        out = derivs(self, lam, tau, y, *args, **kwargs)
+        flip["sign"] = -flip["sign"]
+        out[1] = out[1] * np.where(lam == 0.7, 1.0 + flip["sign"] * 1e-9, 1.0)
+        return out
+
+    monkeypatch.setattr(_DualCore, "derivs", wobbling_derivs)
+    with pytest.raises(RuntimeError, match=r"at x = 2, lam = 0\.7\)"):
+        _DualCore(MIXTURE).evaluate(np.array([0.3, 0.7, 0.5]), 0.6, np.array([1.0, 2.0, 3.0]))
+
+
+def test_table_row_failure_names_its_s(monkeypatch):
+    marginal_value = _DualCore.marginal_value
+
+    def failing_above_one(self, lam, tau, x, *args):
+        if np.max(lam) ** 2 * tau > 1.0:
+            raise RuntimeError("planted failure")
+        return marginal_value(self, lam, tau, x, *args)
+
+    monkeypatch.setattr(_DualCore, "marginal_value", failing_above_one)
+    with pytest.raises(RuntimeError, match=r"row s = 1\.04167 failed: planted") as info:
+        MertonTable(_DualCore(MIXTURE), 2.5)  # rows at s = 2.5 j / 24
+    assert str(info.value.__cause__) == "planted failure"
+
+
 def test_power_pack_from_one_power_matches_the_utility():
     x = np.logspace(-6, 6, 241)
     for gamma, lam, tau in ((0.5, 0.8, 0.7), (0.1, 1.3, 1.0), (0.9, 0.3, 0.2)):
@@ -304,6 +350,27 @@ def test_merton_table_certificate(mixture_table):
         assert np.max(np.abs(got[k] / exact[k] - 1.0)) <= 1e-7, k
     assert np.max(x * np.abs(got["r_xx"] - exact["r_xx"])) <= 1e-7
     assert set(got) == {"m_x", "m_xx", "r", "r_x", "r_xx"}
+
+
+def test_merton_table_sweep_matches_proxy_seeded_rows(mixture_table, monkeypatch):
+    # the sweep moves only where each row's Newton starts: a table whose rows
+    # all start at the power proxy agrees to the Newton's own stop
+    evaluate = _DualCore.evaluate
+    monkeypatch.setattr(_DualCore, "evaluate",
+                        lambda self, lam, tau, x, order=2, offset=0.0:
+                        evaluate(self, lam, tau, x, order))
+    proxy = MertonTable(_DualCore(MIXTURE), mixture_table.s_max)
+    rng = np.random.default_rng(12)
+    n = 1000
+    s = rng.uniform(0.0, mixture_table.s_max, n)
+    x = np.exp(rng.uniform(*np.log(TABLE_X_RANGE), n))
+    tau = 0.8
+    lam = np.sqrt(s / tau)
+    got = mixture_table.evaluate(lam, tau, x, order=4)
+    want = proxy.evaluate(lam, tau, x, order=4)
+    for k in ("m_x", "m_xx", "r", "r_x"):
+        assert np.max(np.abs(got[k] / want[k] - 1.0)) <= 1e-12, k
+    assert np.max(x * np.abs(got["r_xx"] - want["r_xx"])) <= 1e-12
 
 
 def test_merton_table_leaves_off_box_points_to_the_exact_dual(mixture_table):
