@@ -24,7 +24,7 @@ variate: Y moves with noise of order 1/sqrt(eps), so this term's martingale
 part is of order sqrt(eps), like the first-order terms the CV carries.
 
 The control variate also takes Q_xx ~ M_xx, the weight of the Ito term of the
-wealth step; like every gradient it needs only to be adapted, so the
+log-Euler wealth step; like every gradient it needs only to be adapted, so the
 approximation moves the CV's variance alone.
 
 The zeroth-order strategy invests pi = (lam(y, z)/sigma(y, z)) R(t, x; rms(z)):
@@ -32,7 +32,7 @@ the local Sharpe-to-vol ratio sized by the averaged risk tolerance.  A
 :class:`StepState` (``ExpansionBundle.state``) holds one strategy's paths at
 one engine step with the order-4 Merton pack at (t, x; rms(z)); every
 strategy, bump, the control variate's gradients and the drag read that one
-pack, and ``state`` is the one place that handles zero wealth.  A
+pack, and ``state`` is the one place that handles wealth outside (0, inf).  A
 perturbed strategy leaves its bumps on the step (``StepState.bumps``), so
 the engine's bump moments read the values its position used.
 """
@@ -57,9 +57,9 @@ _Z_STEP = 1e-4  # vega_gamma_check's central-difference step in z, relative to m
 @dataclass
 class StepState:
     """One strategy's paths at one engine step: the state (t, x, y, z), the
-    step's lam/sigma, which paths are alive, the order-4 Merton pack at
-    (t, x; rms(z)) with a stand-in wealth 1 on absorbed paths, how many of its
-    points the table left to the exact dual, and the bundle's (epsilon, delta).
+    step's lam/sigma, which paths have wealth in (0, inf), the order-4 Merton
+    pack at (t, x; rms(z)) with a stand-in wealth 1 on the others, how many of
+    its points the table left to the exact dual, and the bundle's (epsilon, delta).
     ``bumps`` is the (fast, slow) pair a ``Perturbed`` position set on the
     step, and None for every other strategy."""
 
@@ -77,7 +77,7 @@ class StepState:
 
     @cached_property
     def tolerance(self):
-        """R(t, x; rms(z)), exactly 0 on an absorbed path."""
+        """R(t, x; rms(z)), exactly 0 where wealth is outside (0, inf)."""
         return np.where(self.alive, self.pack["r"], 0.0)
 
     @cached_property
@@ -146,12 +146,11 @@ class ExpansionBundle:
     def state(self, t, x, y, z, rms=None, lam_over_sig=None) -> StepState:
         """The :class:`StepState` at (t, x, y, z); ``rms`` and ``lam_over_sig``
         are sharpe_rms(z) and sharpe(y, z)/sigma(y, z) when the caller holds
-        them (y is read only for lam_over_sig).  Paths at zero wealth are
-        absorbed: the pack is read at a stand-in wealth 1, since the dual
-        solve needs x > 0, and their risk tolerance, so every position built
-        on it, is exactly 0."""
+        them (y is read only for lam_over_sig).  Where wealth is outside (0, inf),
+        as on an aborted path, the pack is read at a stand-in wealth 1, which the
+        dual needs, and the risk tolerance, so every position built on it, is 0."""
         x = np.asarray(x, dtype=float)
-        alive = x > 0.0
+        alive = (x > 0.0) & (x < np.inf)
         if rms is None:
             rms = self.averages.sharpe_rms(z)
         if lam_over_sig is None and y is not None:

@@ -5,8 +5,8 @@ Discretization per step of size dt:
     Y   exact Gaussian transition of the Ornstein-Uhlenbeck factor at rate
         1/epsilon (Euler would dominate the bias at dt = epsilon/20)
     Z   Euler-Maruyama
-    X   Euler-Maruyama, self-financing exactly: dX = pi (mu dt + sigma dW);
-        wealth is floored at zero and absorbed there
+    X   log-Euler with f = pi/x held over the step: x' = x_d G > 0, where
+        x_d = x exp(f mu dt) and G = exp(f sigma dW - f^2 sigma^2 dt/2)
 
 Brownian increments are correlated through the lower-triangular Cholesky
 factor of the (W, W^Y, W^Z) correlation matrix.  Paths are partitioned into
@@ -29,18 +29,17 @@ Variance reduction: antithetic pairing within chunks, and an optional
 martingale control variate accumulating the Ito martingale part of the
 first-order value approximation Q along each path,
 
-    CV = sum_n  Q_x dX_mart + Q_z sqrt(delta) g dW^Z + Q_y dY_mart
-                + (1/2) Q_xx (pi sigma)^2 (dW^2 - dt),
+    CV = sum_n  Q_x m + Q_z sqrt(delta) g dW^Z + Q_y dY_mart
+                + (1/2) Q_xx (m^2 - x_d^2 expm1(f^2 sigma^2 dt)),
 
-where dY_mart is the OU step's own noise and Q_y = -(eps/2) theta_y D1 v is
-the y-gradient of the second-order fast term.  The last term is the Ito term
-of the Euler wealth step: (dX)^2 = (pi sigma)^2 dW^2, of which the drift
-carries only the mean (pi sigma)^2 dt, so without it an O(dt) residual is
-left on every path.  Every increment is an adapted coefficient times fresh
-noise with exactly zero conditional mean (E[dW^2 - dt | F_t] = 0), so
-subtracting CV from the terminal utility never biases the estimator, for
-any strategy.  dW^2 is even in the noise: antithetic partners draw the same
-dW^2, so the Ito term does not cancel within a pair.
+where m = x_d (G - 1) is the wealth step's martingale part (E[G] = 1), dY_mart
+is the OU step's own noise and Q_y = -(eps/2) theta_y D1 v is the y-gradient
+of the second-order fast term.  The last term is the wealth step's Ito term,
+m^2 less its conditional mean; without it an O(dt) residual is left on every
+path.  Every increment has exactly zero conditional mean, so subtracting CV
+from the terminal utility never biases the estimator, for any strategy.  m^2
+is nearly even in the noise, so the Ito term does not cancel within an
+antithetic pair.
 
 Each step builds, per strategy, one :class:`StepState`
 (``ExpansionBundle.state``): the state with the order-4 Merton pack at
@@ -214,8 +213,8 @@ class SimConfig:
             raise ValueError("antithetic runs need even n_paths and even chunk_size")
         if self.horizon <= 0.0 or self.dt <= 0.0:
             raise ValueError("horizon and dt must be positive")
-        if self.x0 < 0.0:
-            raise ValueError("initial wealth must be nonnegative")
+        if not self.x0 > 0.0:
+            raise ValueError("initial wealth must be positive")
         if self.chunk_size < 1 or self.workers < 1:
             raise ValueError("chunk_size and workers must be positive")
         if self.workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
@@ -248,10 +247,14 @@ class PathEnsemble:
     x_terminal: np.ndarray
     utility_terminal: np.ndarray
     control_variate: np.ndarray
-    floor_hit: np.ndarray
     surface_exact_points: int = 0          # path-steps off the Merton table's box
     drag_max_increment: np.ndarray | None = None
     bump_sums: np.ndarray | None = None    # sums of b^1..b^4, rows (fast, slow)
+
+    @property
+    def floor_hit(self) -> np.ndarray:
+        """Paths at zero terminal wealth, which the log step never reaches."""
+        return self.x_terminal == 0.0
 
     @property
     def bump_moments(self) -> dict:
@@ -283,8 +286,12 @@ class ValueEstimate:
 
 
 def wealth_step(x, pi, mu, sigma, dt, dw):
-    """Self-financing Euler update with an absorbing floor at zero wealth."""
-    return np.maximum(x + pi * (mu * dt + sigma * dw), 0.0)
+    """Log-Euler step with f = pi/x held, exact in law for constant f, mu, sigma:
+    (x_d, G, f^2 sigma^2 dt), x_d = x exp(f mu dt), G = exp(f sigma dW - f^2 sigma^2 dt/2).
+    The new wealth is the product x_d G > 0; x + x expm1(.) rounds to 0 below -37."""
+    f = pi / x
+    var = (f * sigma) ** 2 * dt
+    return x * np.exp(f * mu * dt), np.exp(f * sigma * dw - 0.5 * var), var
 
 
 def _validate_step(model: MarketModel, cfg: SimConfig):
@@ -320,8 +327,7 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
     n_draw = n_chunk // 2 if cfg.antithetic else n_chunk
     # the records accumulate in place; x_terminal is the running wealth until the end
     recs = [PathEnsemble(strat.name, n_chunk, n_steps, cfg.antithetic,
-                         np.full(n_chunk, cfg.x0), None, np.zeros(n_chunk),
-                         np.zeros(n_chunk, dtype=bool)) for strat in strategies]
+                         np.full(n_chunk, cfg.x0), None, np.zeros(n_chunk)) for strat in strategies]
     for rec in recs if collect_drag else ():
         rec.drag_max_increment = np.full(n_chunk, -np.inf)
 
@@ -339,7 +345,6 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
         dw = w_std * sqrt_dt
         dwz = wz_std * sqrt_dt
         dy_mart = ou_std * wy_std  # the OU step's noise, which the CV's Q_y term reuses
-        ito_noise = dw * dw - dt  # the CV's Ito term: mean zero, even in the noise
 
         lam = model.sharpe(y, z)
         sig = model.sigma(y, z)
@@ -352,18 +357,17 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
 
         for strat, rec in zip(strategies, recs):
             x = rec.x_terminal
-            # one step state per strategy-step: the position, the CV and the drag read
-            # its pack, and paths at the floor get no CV or drag increment
+            # one step state per strategy-step: the position, the CV and the drag read its pack
             point = bundle.state(t, x, y, z, rms, lam_over_sig)
             rec.surface_exact_points += point.n_exact
             pi = strat.position(point)
+            x_d, growth, var = wealth_step(x, pi, mu, sig, dt, dw)
 
             if cfg.control_variate:
                 qx, qz, qy, qxx = bundle.q_gradients(t, x, y, z, coefs, point.pack)
-                pi_sig = pi * sig
-                rec.control_variate += np.where(
-                    point.alive, qx * pi_sig * dw + qz * sqrt_delta * gz * dwz + qy * dy_mart
-                    + 0.5 * qxx * pi_sig**2 * ito_noise, 0.0)
+                m = x_d * (growth - 1.0)  # the wealth step's martingale part
+                rec.control_variate += (qx * m + qz * sqrt_delta * gz * dwz + qy * dy_mart
+                                        + 0.5 * qxx * (m * m - x_d * x_d * np.expm1(var)))
 
             if collect_drag:
                 if point.bumps is not None:
@@ -371,19 +375,16 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
                                      for b in point.bumps])
                     rec.bump_sums = sums if rec.bump_sums is None else rec.bump_sums + sums
                 weight = (pi - point.pi0) ** 2
-                sel = point.alive & (weight != 0.0)
-                inc = np.where(sel, 0.5 * weight * sig**2 * point.pack["m_xx"] * dt, 0.0)
+                inc = np.where(weight != 0.0, 0.5 * weight * sig**2 * point.pack["m_xx"] * dt, 0)
                 np.maximum(rec.drag_max_increment, inc, out=rec.drag_max_increment)
 
-            x_new = wealth_step(x, pi, mu, sig, dt, dw)
-            rec.floor_hit |= point.alive & (x_new <= 0.0)
-            rec.x_terminal = x_new
+            rec.x_terminal = x_d * growth
 
         z = z + model.delta * model.slow_drift(z) * dt + sqrt_delta * gz * dwz
         y = ou_mean + (y - ou_mean) * ou_decay + dy_mart
 
     for rec in recs:
-        rec.utility_terminal = bundle.utility.u(np.maximum(rec.x_terminal, 0.0))
+        rec.utility_terminal = bundle.utility.u(rec.x_terminal)
     return recs
 
 
@@ -460,8 +461,7 @@ def run_ensembles(model: MarketModel, strategies: list[Strategy],
     return ensembles
 
 
-_PATH_ARRAYS = ("x_terminal", "utility_terminal", "control_variate", "floor_hit",
-                "drag_max_increment")
+_PATH_ARRAYS = ("x_terminal", "utility_terminal", "control_variate", "drag_max_increment")
 
 
 def _merge(records: list[PathEnsemble]) -> PathEnsemble:

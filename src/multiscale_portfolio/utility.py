@@ -149,10 +149,11 @@ class UtilitySpec:
             (logy - np.log(cmax)) / (gmax - 1.0),
             (logy - np.log(cmin)) / (gmin - 1.0),
         )
-        # Each point stops at its own convergence, so its bits never depend on
-        # the other points in the batch.  It still takes the step from the
-        # iterate that met the tolerance: that last step leaves I(y) at
-        # rounding level, which the dual's 1e-14 stop on sums of I needs.
+        # Each point stops at its own convergence, 1e-14 or two ulps of log y if
+        # more (|log y| >= 32), so its bits never depend on the other points.  It
+        # still takes the step from the iterate that met the tolerance: that last
+        # step leaves I(y) at rounding level, which the dual's stop on sums of I needs.
+        tol = np.maximum(_NEWTON_REL_TOL, 2.0 * np.spacing(np.abs(logy)))
         todo = np.arange(t.size)
         for _ in range(_NEWTON_MAX_ITER):
             t_live = t[todo]
@@ -164,7 +165,7 @@ class UtilitySpec:
             resid = np.log(u1) - logy[todo]
             slope = x_u2 / u1  # strictly negative
             t[todo] += np.clip(-resid / slope, -2.0, 2.0)
-            live = np.abs(resid) > _NEWTON_REL_TOL
+            live = np.abs(resid) > tol[todo]
             if not live.any():
                 break
             todo = todo[live]

@@ -191,8 +191,6 @@ def test_constant_model_residual_is_statistical_zero(default_cfg):
     assert study.verdict == "UNRESOLVED"
 
 
-@pytest.mark.xfail(strict=True, reason="with the CV the Euler step bias of the wealth "
-                   "step is resolved: every residual halves at step_divisor 40")
 def test_constant_model_residual_with_the_control_variate_is_statistical_zero(default_cfg):
     # Q is exact here, so a residual many SE from zero is the discretization's
     cfg = replace(

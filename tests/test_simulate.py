@@ -43,6 +43,7 @@ from multiscale_portfolio.simulate import (
 from multiscale_portfolio.utility import make_utility
 
 POWER_HALF = make_utility("power", gamma=0.5)
+MIXTURE = make_utility("power_mixture", weights=(1.0, 1.0), exponents=(0.5, 0.25))
 
 
 def constant_model(lam=0.5, sigma=0.5, eps=0.1, delta=0.1):
@@ -70,13 +71,18 @@ def cfg_for(model, n_paths=8192, seed=3, workers=1, control_variate=True,
     )
 
 
-def test_wealth_step_is_self_financing_and_absorbing():
+def test_wealth_step_is_the_log_step_and_keeps_wealth_positive():
     x = np.array([1.0, 2.0, 0.5])
-    pi = np.array([0.5, 1.0, 10.0])
-    out = wealth_step(x, pi, mu=0.1, sigma=0.5, dt=0.01, dw=np.array([0.02, -0.01, -0.5]))
-    manual = x + pi * (0.1 * 0.01 + 0.5 * np.array([0.02, -0.01, -0.5]))
-    assert out[0] == manual[0] and out[1] == manual[1]
-    assert out[2] == 0.0  # floored, manual value is negative
+    pi = np.array([0.5, 1.0, 60.0])
+    dw = np.array([0.02, -0.01, -1.0])
+    x_d, growth, var = wealth_step(x, pi, mu=0.1, sigma=0.5, dt=0.01, dw=dw)
+    f = pi / x
+    exponent = f * 0.5 * dw - 0.5 * (f * 0.5) ** 2 * 0.01
+    assert exponent[2] < -40.0  # where x + x expm1(exponent) rounds to 0
+    np.testing.assert_allclose(x_d * growth, x * np.exp(f * 0.1 * 0.01) * np.exp(exponent),
+                               rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(var, (f * 0.5) ** 2 * 0.01, rtol=1e-15)
+    assert np.all(x_d * growth > 0.0)
 
 
 def test_all_cash_is_exact():
@@ -166,34 +172,22 @@ def test_antithetic_validation():
         SimConfig(n_paths=8, horizon=1.0, dt=0.005, antithetic=True, chunk_size=3)
 
 
-def test_absorption_is_sticky_and_reported():
-    model = constant_model()
-    b = bundle_for(model)
-    # an absurdly leveraged strategy guarantees floor hits
-    strat = Scaled(ZerothOrder(b), 60.0)
-    ens = run_ensembles(model, [strat], b, cfg_for(model, n_paths=2048))[0]
-    assert np.mean(ens.floor_hit) > 0.5
-    hit = ens.floor_hit
-    assert np.all(ens.x_terminal[hit] == 0.0)
-    assert np.all(ens.utility_terminal[hit] == 0.0)
-
-
-@pytest.mark.parametrize("utility", [
-    POWER_HALF, make_utility("power_mixture", weights=(1.0, 1.0), exponents=(0.5, 0.25)),
-], ids=["power", "mixture"])
-def test_absorbed_paths_stop_feeding_the_control_variate(utility):
+@pytest.mark.parametrize("utility", [POWER_HALF, MIXTURE], ids=["power", "mixture"])
+def test_leveraged_paths_keep_positive_wealth_and_a_finite_control_variate(utility):
+    # four times the zeroth-order position: the least terminal wealth is about
+    # 2e-9 (power) and 3e-6 (mixture)
     model = constant_model(eps=0.4, delta=0.4)
     b = bundle_for(model, utility)
-    cfg = cfg_for(model, n_paths=64, chunk_size=64)
+    cfg = cfg_for(model, n_paths=2048)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the CV gradients never see a wealth <= 0
-        ens = run_ensembles(model, [Scaled(ZerothOrder(b), 60.0)], b, cfg,
+        warnings.simplefilter("error")  # the packs and the CV see no wealth <= 0
+        ens = run_ensembles(model, [Scaled(ZerothOrder(b), 4.0)], b, cfg,
                             collect_drag=True)[0]
-        broke = run_ensembles(model, [ZerothOrder(b)], b, replace(cfg, x0=0.0),
-                              collect_drag=True)[0]
-    assert np.mean(ens.floor_hit) > 0.5
+    assert np.all(np.isfinite(ens.x_terminal)) and np.all(ens.x_terminal > 0.0)
+    assert not np.any(ens.floor_hit)
     assert np.all(np.isfinite(ens.control_variate)) and np.any(ens.control_variate != 0.0)
-    assert np.all(broke.control_variate == 0.0)
+    with pytest.raises(ValueError, match="initial wealth must be positive"):
+        replace(cfg, x0=0.0)
 
 
 class AbortsOnePath(Strategy):
@@ -211,9 +205,12 @@ class AbortsOnePath(Strategy):
         return pi
 
 
-def test_an_aborted_path_drops_its_antithetic_pair(caplog):
+@pytest.mark.parametrize("utility", [POWER_HALF, MIXTURE], ids=["power", "mixture"])
+def test_an_aborted_path_drops_its_antithetic_pair(caplog, utility):
+    # in a mixture run the step state reads the aborted path's pack at a
+    # stand-in wealth, so no NaN reaches the dual
     model = constant_model(eps=0.4, delta=0.4)
-    b = bundle_for(model)
+    b = bundle_for(model, utility)
     cfg = cfg_for(model, n_paths=64, chunk_size=64)
     # one chunk: path 37 is the antithetic partner of path 5, in pair 5
     with caplog.at_level(logging.WARNING, logger=simulate.__name__):
@@ -426,9 +423,6 @@ def test_summarize_pairs_antithetic_partners():
     est = summarize(ens, cfg.chunk_size)
     assert est.n_effective == 2048
     assert est.n_paths == 4096
-
-
-MIXTURE = make_utility("power_mixture", weights=(1.0, 1.0), exponents=(0.5, 0.25))
 
 
 def test_off_table_path_steps_are_counted():

@@ -76,6 +76,37 @@ def test_sampled_invariants(kind, kwargs):
     assert np.max(np.abs(back - xs) / xs) <= 1e-10
 
 
+def _inverse_stopping_at_1e14(u, y):
+    # the Newton inversion with its former flat stop |resid| <= 1e-14
+    logy = np.log(y)
+    gmax, gmin = max(u.exponents), min(u.exponents)
+    cmax, cmin = u.weights[u.exponents.index(gmax)], u.weights[u.exponents.index(gmin)]
+    t = np.where(y < sum(u.weights), (logy - np.log(cmax)) / (gmax - 1.0),
+                 (logy - np.log(cmin)) / (gmin - 1.0))
+    todo = np.arange(t.size)
+    while todo.size:
+        p = [c * np.exp((g - 1.0) * t[todo]) for c, g in zip(u.weights, u.exponents)]
+        resid = np.log(sum(p)) - logy[todo]
+        slope = sum((g - 1.0) * pi for g, pi in zip(u.exponents, p)) / sum(p)
+        t[todo] += np.clip(-resid / slope, -2.0, 2.0)
+        todo = todo[np.abs(resid) > 1e-14]
+    return np.exp(t)
+
+
+@pytest.mark.parametrize("weights, exponents", [
+    ((1.0, 1.0), (0.5, 0.25)), ((0.3, 2.0, 1.0), (0.2, 0.5, 0.8)),
+    ((1.0, 1.0, 1.0), (0.2, 0.5, 0.8)),
+])
+def test_inversion_stops_at_the_rounding_level_of_log_y(weights, exponents):
+    u = make_utility("power_mixture", weights=weights, exponents=exponents)
+    # below |log y| = 32 two ulps of log y are under 1e-14: the flat stop's bits
+    ys = np.exp(np.random.default_rng(0).uniform(-31.99, 31.99, 20000))
+    assert np.array_equal(u.inverse_marginal(ys), _inverse_stopping_at_1e14(u, ys))
+    # above it 1e-14 is finer than log y's spacing; 1e45 failed under the flat stop
+    x = u.inverse_marginal(1e45)
+    assert u.du(x, 1) == pytest.approx(1e45, rel=1e-12)
+
+
 def test_risk_tolerance_origin_and_slope_bounded():
     u = make_utility("power_mixture", weights=(1.0, 1.0), exponents=(0.5, 0.25))
     assert u.risk_tolerance(1e-10) < 1e-8
