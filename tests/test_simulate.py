@@ -205,10 +205,17 @@ class AbortsOnePath(Strategy):
         return pi
 
 
-@pytest.mark.parametrize("utility", [POWER_HALF, MIXTURE], ids=["power", "mixture"])
-def test_an_aborted_path_drops_its_antithetic_pair(caplog, utility):
-    # in a mixture run the step state reads the aborted path's pack at a
-    # stand-in wealth, so no NaN reaches the dual
+def test_an_aborted_path_drops_its_antithetic_pair(caplog):
+    check_an_aborted_path_drops_its_antithetic_pair(caplog, POWER_HALF)
+
+
+def test_an_aborted_path_in_a_mixture_run_drops_its_antithetic_pair(caplog):
+    # the step state reads the aborted path's pack at a stand-in wealth, so no
+    # NaN reaches the dual
+    check_an_aborted_path_drops_its_antithetic_pair(caplog, MIXTURE)
+
+
+def check_an_aborted_path_drops_its_antithetic_pair(caplog, utility):
     model = constant_model(eps=0.4, delta=0.4)
     b = bundle_for(model, utility)
     cfg = cfg_for(model, n_paths=64, chunk_size=64)
@@ -413,6 +420,27 @@ def test_terminal_record_stream(tmp_path):
     assert lines[0] == "path,x_terminal,utility,floor_hit"
     assert len(lines) == 9
     assert lines[1].startswith("0,1.0,2.0,false")
+
+
+def test_zero_terminal_wealth_is_reported_as_a_floor_hit(tmp_path):
+    # the log step keeps wealth positive; floor_hit, its rate and its CSV
+    # column read the terminal wealth, so a path at zero still shows
+    model = constant_model()
+    b = bundle_for(model)
+    cfg = cfg_for(model, n_paths=8, chunk_size=4)
+    ens = run_ensembles(model, [AllCash()], b, cfg)[0]
+    assert not np.any(ens.floor_hit)
+    x = ens.x_terminal.copy()
+    x[[2, 5]] = 0.0
+    zeroed = replace(ens, x_terminal=x)
+    hit = [i in (2, 5) for i in range(8)]
+    assert zeroed.floor_hit.tolist() == hit
+    assert summarize(zeroed, cfg.chunk_size).floor_hit_rate == 0.25
+    out = tmp_path / "terminal.csv"
+    with open(out, "w") as fh:
+        write_terminal_records(zeroed, fh)
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["true" if h else "false" for h in hit]
 
 
 def test_summarize_pairs_antithetic_partners():
