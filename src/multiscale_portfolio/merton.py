@@ -156,6 +156,8 @@ class _DualCore:
         logx = np.log(x).reshape(-1)
         ae = u.asymptotic_elasticity
         v = (np.log(u.du(x, 1)) + offset).reshape(-1) + 0.5 * lam_arr**2 * tau * ae / (1.0 - ae)
+        # 1e-14, or two ulps of log x if more (|log x| >= 32), as the inversion's stop
+        tol = np.maximum(1e-14, 2.0 * np.spacing(np.abs(logx)))
         todo = np.arange(v.size)
         inverse = np.empty((v.size, self.nodes.size))
         for _ in range(80):
@@ -163,7 +165,7 @@ class _DualCore:
             nodes = self._quadrature(lam_arr[todo], tau, y)
             _, vy, vyy = self.derivs(lam_arr[todo], tau, y, order=2, value=False, nodes=nodes)
             resid = np.log(-vy) - logx[todo]
-            live = np.abs(resid) > 1e-14
+            live = np.abs(resid) > tol[todo]
             inverse[todo[~live]] = nodes[2][~live]
             if not live.any():
                 break

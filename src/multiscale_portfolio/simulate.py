@@ -448,13 +448,14 @@ def run_ensembles(model: MarketModel, strategies: list[Strategy],
 
     ensembles = [_merge(records) for records in zip(*results)]
     for ens in ensembles:
-        n_aborted = int(np.sum(~np.isfinite(ens.x_terminal)))
-        if n_aborted:
-            logger.warning(
-                "%d path(s) aborted with non-finite wealth under %s; "
-                "they are excluded from estimates and counted in the report",
-                n_aborted, ens.strategy_name,
-            )
+        ok = np.isfinite(ens.x_terminal)
+        for n, what in ((np.sum(~ok), "wealth"),
+                        (np.sum(ok & ~np.isfinite(ens.utility_terminal - ens.control_variate)),
+                         "utility or control variate")):
+            if n:
+                logger.warning("%d path(s) aborted with non-finite %s under %s; "
+                               "they are excluded from estimates and counted in the report",
+                               n, what, ens.strategy_name)
         if ens.bump_sums is not None:
             logger.info("bump empirical moments for %s: %s", ens.strategy_name,
                         ens.bump_moments)
@@ -512,14 +513,16 @@ def summarize(ensemble: PathEnsemble, chunk_size: int) -> ValueEstimate:
     ``paired_mean_se`` (a run without the CV carries a CV of exactly 0).
     The diagnostics carry the SE of the utility alone (``se_raw``), the
     variance reduction (se_raw / se)^2 (``cv_variance_ratio``, 1 without the
-    CV), the aborted paths and, with the drag, its exact sign test: the
+    CV), the aborted paths (those whose utility or CV is not finite; the
+    raw SE drops the same pairs) and, with the drag, its exact sign test: the
     largest increment (``drag_max_increment``), the paths with a positive one
     (``drag_positive_paths``) and whether there are none (``drag_sign_ok``)."""
-    raw = ensemble.utility_terminal
-    mean, se, n_eff = paired_mean_se(raw - ensemble.control_variate, ensemble.antithetic,
-                                     chunk_size)
-    se_raw = paired_mean_se(raw, ensemble.antithetic, chunk_size)[1]
-    n_aborted = int(np.sum(~np.isfinite(raw)))
+    stat = ensemble.utility_terminal - ensemble.control_variate
+    kept = np.isfinite(stat)
+    mean, se, n_eff = paired_mean_se(stat, ensemble.antithetic, chunk_size)
+    se_raw = paired_mean_se(np.where(kept, ensemble.utility_terminal, np.nan),
+                            ensemble.antithetic, chunk_size)[1]
+    n_aborted = int(np.sum(~kept))
     cv = ensemble.control_variate[np.isfinite(ensemble.control_variate)]
     diagnostics = {
         "se_raw": se_raw,

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import multiprocessing
 import os
 import re
@@ -140,16 +141,37 @@ def test_slope_fit_needs_two_points():
 # -- trend rule ------------------------------------------------------------------
 
 
+def _on_grid(ells, se):
+    """(h, ell, se) on the default grid eps = delta = 0.4, 0.2, 0.1, 0.05."""
+    return [(2.0 * math.sqrt(eps), ell, se) for eps, ell in zip((0.4, 0.2, 0.1, 0.05), ells)]
+
+
 def test_gap_trend_accepts_decreasing_and_stabilizing():
-    dec = [(-0.04, 1e-4), (-0.07, 1e-4), (-0.10, 1e-4)]
-    stab = [(-0.0080, 1e-5), (-0.0071, 1e-5), (-0.0065, 1e-5), (-0.0061, 1e-5)]
+    dec = _on_grid([-0.04, -0.07, -0.10], 1e-4)
+    stab = _on_grid([-0.0080, -0.0071, -0.0065, -0.0061], 1e-5)
+    # the perturbed challenger's mean gap over 20 seeds of 8,192 paths: it
+    # turns up toward small scales with growing steps, and settles below zero
+    settling = _on_grid([-6.16e-3, -6.27e-3, -6.08e-3, -5.76e-3], 2e-5)
     assert _gap_trend_ok(dec)
     assert _gap_trend_ok(stab)
+    assert _gap_trend_ok(settling)
+    assert _gap_trend_ok(list(reversed(settling)))  # the grid's order does not matter
+    assert _gap_trend_ok(_on_grid([-0.01], 1e-6))
 
 
 def test_gap_trend_rejects_accelerating_growth():
-    growing = [(-0.010, 1e-6), (-0.008, 1e-6), (-0.002, 1e-6), (0.02, 1e-6)]
+    growing = _on_grid([-0.010, -0.008, -0.002, 0.02], 1e-6)
+    # below zero on the whole grid, with shrinking steps, but its finest step
+    # points above zero at zero scale
+    rising = _on_grid([-0.020, -0.012, -0.006, -0.002], 1e-6)
     assert not _gap_trend_ok(growing)
+    assert not _gap_trend_ok(rising)
+    # the finest step's noise band is 3 SE: 3 ((1 + r) se_n + r se_{n-1})
+    r = math.sqrt(0.05) / (math.sqrt(0.1) - math.sqrt(0.05))
+    limit = (1.0 + r) * -0.002 - r * -0.006
+    assert _gap_trend_ok(_on_grid([-0.020, -0.012, -0.006, -0.002], limit / (3.0 * (1.0 + 2.0 * r))))
+    assert not _gap_trend_ok(_on_grid([-0.020, -0.012, -0.006, -0.002],
+                                      0.99 * limit / (3.0 * (1.0 + 2.0 * r))))
 
 
 # -- studies (small scale) --------------------------------------------------------

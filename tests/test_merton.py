@@ -301,6 +301,16 @@ def test_dual_non_convergence_names_the_point(monkeypatch):
         _DualCore(MIXTURE).evaluate(np.array([0.3, 0.7, 0.5]), 0.6, np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("x", [1e-60, 1e-90, 1e-100])
+def test_dual_stops_at_the_rounding_level_of_log_x(x):
+    # |log x| > 32: 1e-14 is finer than log x's spacing, and these points failed
+    # under the flat stop; the dual's -Vt_y(y) now meets x to rounding level
+    dual = _DualCore(MIXTURE)
+    y, _ = dual.marginal_value(0.5, 0.05, np.array([x]))
+    _, vy, _ = dual.derivs(np.array([0.5]), 0.05, y, order=2, value=False)
+    assert -vy[0] == pytest.approx(x, rel=1e-12)
+
+
 def test_table_row_failure_names_its_s(monkeypatch):
     marginal_value = _DualCore.marginal_value
 

@@ -248,6 +248,40 @@ def check_an_aborted_path_drops_its_antithetic_pair(caplog, utility):
     assert gap == np.mean(gaps) and gap_se == np.std(gaps, ddof=1) / math.sqrt(gaps.size)
 
 
+def test_a_non_finite_control_variate_counts_as_an_aborted_path():
+    model = constant_model(eps=0.4, delta=0.4)
+    b = bundle_for(model)
+    cfg = cfg_for(model, n_paths=64, chunk_size=64)
+    ens = run_ensembles(model, [HalfWealth()], b, cfg)[0]
+    ens.control_variate[37] = np.inf  # finite wealth and utility on path 37
+    est = summarize(ens, cfg.chunk_size)
+    assert est.diagnostics["aborted_paths"] == 1
+    assert est.n_effective == cfg.n_paths // 2 - 1
+    # the raw SE drops the same pair, so the variance ratio compares like with like
+    raw = np.delete(0.5 * (ens.utility_terminal[:32] + ens.utility_terminal[32:]), 5)
+    assert est.diagnostics["se_raw"] == np.std(raw, ddof=1) / math.sqrt(raw.size)
+
+
+@pytest.mark.parametrize("utility, cause", [(POWER_HALF, "wealth"),
+                                            (MIXTURE, "utility or control variate")],
+                         ids=["power", "mixture"])
+def test_sixty_fold_leverage_is_reported_not_dropped(caplog, utility, cause):
+    # sixty times the zeroth-order position takes wealth below what the packs
+    # can represent: power wealth underflows to NaN, and the mixture keeps
+    # wealth near 1e-96 but its CV overflows; every path aborts, and says so
+    model = constant_model(eps=0.4, delta=0.4)
+    b = bundle_for(model, utility)
+    cfg = cfg_for(model, n_paths=64)
+    with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger=simulate.__name__):
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflows on the way there
+        ens = run_ensembles(model, [Scaled(ZerothOrder(b), 60.0)], b, cfg)[0]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"64 path(s) aborted with non-finite {cause} under scaled_60_zeroth_order; "
+        "they are excluded from estimates and counted in the report"]
+    with pytest.raises(RuntimeError, match="every path aborted"):
+        summarize(ens, cfg.chunk_size)
+
+
 def test_correlated_increments_match_target():
     model = constant_model()
     chol = model.correlation_cholesky()
