@@ -170,7 +170,7 @@ class ExpansionBundle:
         table, tau = self.merton_table(), self.horizon - t
         if table is None or not tau > 0.0:
             return merton_pack(self.utility, rms, tau, x, order=4), 0
-        return table.evaluate_counted(rms, tau, x, order=4)
+        return table.evaluate(rms, tau, x, order=4)
 
     def d1(self, t, x, z):
         """D1 v = R M_x."""

@@ -47,6 +47,12 @@ depend on the nodes below it in s at the same x, never on the other x of its
 row.  Points off the box are evaluated by the dual itself.  The value m and
 everything the tests and studies compare against stay on the dual.
 
+Every order-3 and order-4 pack but the power closed form comes from the
+ratios a = M_x3/M_xx and b = M_x4/M_xx (:func:`_pack`): R_x = -1 - R a,
+R_xx = a + R (2 a^2 - b), M_x3 = a M_xx, M_x4 = b M_xx.  At tau = 0 they are
+U'''/U'' and U''''/U''.  No power of U'' or Vt_yy above the square is formed,
+so every factor stays in float range at the far quadrature nodes.
+
 The wealth-differential operators D_k = R^k d^k/dx^k and the linearized
 Merton operator d/dt + (1/2) lam^2 D_2 + lam^2 D_1 are exposed through
 :func:`apply_dk` and :func:`residual_of_pde`.
@@ -85,6 +91,17 @@ def gauss_hermite() -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(2.0) * x, w / np.sqrt(np.pi)
 
 
+def _pack(m, m_x, m_xx, r, order, a, b):
+    """The pack to ``order`` from m, m_x, m_xx, r and the ratios a = M_x3/M_xx
+    (read from order 3) and b = M_x4/M_xx (from order 4)."""
+    out = {"m": m, "m_x": m_x, "m_xx": m_xx, "r": r}
+    if order >= 3:
+        out["r_x"], out["m_x3"] = -1.0 - r * a, a * m_xx
+    if order >= 4:
+        out["r_xx"], out["m_x4"] = a + r * (2.0 * a * a - b), b * m_xx
+    return out
+
+
 # ---------------------------------------------------------------------------
 # dual-quadrature core
 # ---------------------------------------------------------------------------
@@ -119,10 +136,11 @@ class _DualCore:
         caller already holds it.
 
         With x_i = I(y e_i), the (k+1)-th y-derivative of Ut(y e_i) is
-        -e_i^(k+1) I^(k)(y e_i), where I' = 1/U'', I'' = -U'''/U''^3 and
-        I''' = (3 U'''^2 - U'' U'''')/U''^5 at x_i.  U and U'' ... U'''' come
-        from one ``derivatives`` call, one power per mixture component, and
-        the powers of e_i and of U'' are products of ones already formed."""
+        -e_i^(k+1) I^(k)(y e_i), where I' = 1/U'', I'' = -a I'^2 and
+        I''' = (3 a^2 - b) I'^3 at x_i, with a = U'''/U'' and b = U''''/U''.
+        U and U'' ... U'''' come from one ``derivatives`` call, one power per
+        mixture component; the powers of e_i and of I' are products of ones
+        already formed, and no power of U'' is: it leaves the float range."""
         ef, ye, x = self._quadrature(lam, tau, y) if nodes is None else nodes
         d = self.utility.derivatives(x, order)
         out = [self._expect(d[0] - ye * x) if value else None]
@@ -133,13 +151,11 @@ class _DualCore:
             i1 = 1.0 / u2
             out.append(-self._expect(i1 * ef2))
         if order >= 3:
-            u3, u2_2 = d[3], u2 * u2
-            i2 = -u3 / (u2_2 * u2)
-            out.append(-self._expect(i2 * (ef2 * ef)))
+            a, i1_2 = d[3] / u2, i1 * i1
+            out.append(self._expect(a * i1_2 * (ef2 * ef)))  # I'' = -a I'^2
         if order >= 4:
-            u4 = d[4]
-            i3 = (3.0 * u3**2 - u2 * u4) / (u2_2 * u2_2 * u2)
-            out.append(-self._expect(i3 * (ef2 * ef2)))
+            b = d[4] / u2
+            out.append(-self._expect((3.0 * a * a - b) * (i1_2 * i1) * (ef2 * ef2)))
         return out
 
     def marginal_value(self, lam, tau, x, offset=0.0):
@@ -186,7 +202,8 @@ class _DualCore:
         moves the Newton seed of ``marginal_value``.
 
         Returns a dict with m, m_x, m_xx, r, and (order >= 3) r_x, m_x3,
-        (order >= 4) r_xx, m_x4.
+        (order >= 4) r_xx, m_x4: the :func:`_pack` of a = A/Vt_yy and
+        b = (3 A^2 - B)/Vt_yy^2, with A = Vt_yyy/Vt_yy and B = Vt_yyyy/Vt_yy.
         """
         x = np.asarray(x, dtype=float)
         shape = x.shape
@@ -195,21 +212,13 @@ class _DualCore:
         ystar, inverse = self.marginal_value(lam_arr, tau, x, offset)
         ef = self._factors(lam_arr, tau)  # the Newton's own nodes at y*: no second inversion
         d = self.derivs(lam_arr, tau, ystar, order=order, nodes=(ef, ystar[:, None] * ef, inverse))
-        vt, vy, vyy = d[0], d[1], d[2]
-        out = {
-            "m": vt + x * ystar,
-            "m_x": ystar,
-            "m_xx": -1.0 / vyy,
-            "r": ystar * vyy,
-        }
+        vyy, a, b = d[2], None, None
         if order >= 3:
-            vyyy = d[3]
-            out["r_x"] = -1.0 - ystar * vyyy / vyy
-            out["m_x3"] = -vyyy / vyy**3
+            big_a = d[3] / vyy
+            a = big_a / vyy
         if order >= 4:
-            vyyyy = d[4]
-            out["m_x4"] = vyyyy / vyy**4 - 3.0 * vyyy**2 / vyy**5
-            out["r_xx"] = (vyyy / vyy + ystar * (vyyyy * vyy - vyyy**2) / vyy**2) / vyy
+            b = (3.0 * big_a * big_a - d[4] / vyy) / (vyy * vyy)
+        out = _pack(d[0] + x * ystar, ystar, -1.0 / vyy, ystar * vyy, order, a, b)
         return {k: v.reshape(shape) for k, v in out.items()}
 
 
@@ -289,13 +298,10 @@ class MertonTable:
         px = ((c[:, :, 0] * dx + c[:, :, 1]) * dx + c[:, :, 2]) * dx + c[:, :, 3]
         return ((px[:, 0] * ds + px[:, 1]) * ds + px[:, 2]) * ds + px[:, 3]
 
-    def evaluate(self, lam, tau, x, order: int = 2) -> dict:
-        """m_x, m_xx, r and, by order, r_x and r_xx at (tau, x), lam per point."""
-        return self.evaluate_counted(lam, tau, x, order)[0]
-
-    def evaluate_counted(self, lam, tau, x, order: int = 2) -> tuple[dict, int]:
-        """``evaluate``'s pack, and how many of its points lay off the box and
-        went to the exact dual."""
+    def evaluate(self, lam, tau, x, order: int = 2) -> tuple[dict, int]:
+        """The pack of m_x, m_xx, r and, by order, r_x and r_xx at (tau, x),
+        lam per point, and how many of its points lay off the box and went to
+        the exact dual."""
         x = np.asarray(x, dtype=float)
         lam = np.broadcast_to(np.asarray(lam, dtype=float), x.shape)
         s = lam**2 * tau
@@ -404,15 +410,15 @@ def _solve_finite_difference(utility, lam, horizon):
 
 
 def merton_pack(utility: UtilitySpec, lam, tau: float, x, order: int = 2,
-                dual: _DualCore | MertonTable | None = None) -> dict:
+                dual: _DualCore | None = None) -> dict:
     """Value, x-derivatives and risk tolerance at time to horizon tau and
     Sharpe ratio lam (a scalar, or one per point of x).
 
     The pack holds m, m_x, m_xx and r; order >= 3 adds r_x and m_x3, order
-    >= 4 adds r_xx and m_x4.  It is U itself at tau = 0, the dual quadrature
-    of ``dual`` when one is given (a :class:`MertonTable` serves its own
-    pack, without m, m_x3 and m_x4), and the power closed form otherwise,
-    whose r_x and r_xx are scalars.
+    >= 4 adds r_xx and m_x4.  It is U itself at tau = 0 (the :func:`_pack`
+    of a = U'''/U'' and b = U''''/U''), the dual quadrature of ``dual`` when
+    one is given, and the power closed form otherwise, whose r_x and r_xx
+    are scalars.
     """
     u = utility
     x = np.asarray(x, dtype=float)
@@ -427,12 +433,10 @@ def merton_pack(utility: UtilitySpec, lam, tau: float, x, order: int = 2,
         if order >= 4:
             out["r_xx"], out["m_x4"] = 0.0, out["m_x3"] * (g - 3.0) / x
         return out
-    out = {"m": u.u(x), "m_x": u.du(x, 1), "m_xx": u.du(x, 2), "r": u.risk_tolerance(x)}
-    if order >= 3:
-        out["r_x"], out["m_x3"] = u.risk_tolerance_x(x), u.du(x, 3)
-    if order >= 4:
-        out["r_xx"], out["m_x4"] = u.risk_tolerance_xx(x), u.du(x, 4)
-    return out
+    m_x, m_xx = u.du(x, 1), u.du(x, 2)
+    a = u.du(x, 3) / m_xx if order >= 3 else None
+    b = u.du(x, 4) / m_xx if order >= 4 else None
+    return _pack(u.u(x), m_x, m_xx, -m_x / m_xx, order, a, b)
 
 
 class MertonSolution:

@@ -290,8 +290,9 @@ def wealth_step(x, pi, mu, sigma, dt, dw):
     (x_d, G, f^2 sigma^2 dt), x_d = x exp(f mu dt), G = exp(f sigma dW - f^2 sigma^2 dt/2).
     The new wealth is the product x_d G > 0; x + x expm1(.) rounds to 0 below -37."""
     f = pi / x
-    var = (f * sigma) ** 2 * dt
-    return x * np.exp(f * mu * dt), np.exp(f * sigma * dw - 0.5 * var), var
+    f_sigma = f * sigma
+    var = f_sigma**2 * dt
+    return x * np.exp(f * mu * dt), np.exp(f_sigma * dw - 0.5 * var), var
 
 
 def _validate_step(model: MarketModel, cfg: SimConfig):

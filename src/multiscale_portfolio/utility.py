@@ -110,16 +110,6 @@ class UtilitySpec:
         """R(x) = -U'(x)/U''(x); strictly increasing with R(0+) = 0."""
         return -self.du(x, 1) / self.du(x, 2)
 
-    def risk_tolerance_x(self, x):
-        """dR/dx, from R = -U'/U''."""
-        u1, u2, u3 = self.du(x, 1), self.du(x, 2), self.du(x, 3)
-        return -1.0 + u1 * u3 / u2**2
-
-    def risk_tolerance_xx(self, x):
-        """d^2R/dx^2."""
-        u1, u2, u3, u4 = (self.du(x, k) for k in (1, 2, 3, 4))
-        return u3 / u2 + u1 * u4 / u2**2 - 2.0 * u1 * u3**2 / u2**3
-
     def inverse_marginal(self, y):
         """I(y) = (U')^{-1}(y) for y > 0, to relative tolerance 1e-12."""
         y_arr = np.asarray(y, dtype=float)

@@ -279,7 +279,7 @@ def test_mixture_engine_terms_read_the_table_and_the_value_the_dual():
     assert table.s_max == np.max(rms) ** 2 * b.horizon
     t, x, z = 0.3, np.array([1e-6, 0.5, 2.0]), np.array([0.1, -0.2, 0.3])
     lam = b.averages.sharpe_rms(z)
-    tabulated = table.evaluate(lam, b.horizon - t, x, order=4)
+    tabulated = table.evaluate(lam, b.horizon - t, x, order=4)[0]
     exact = b._dual.evaluate(lam, b.horizon - t, x)
     pack, n_exact = b.step_pack(t, x, lam)  # the engine's one pack per strategy-step
     assert set(pack) == set(tabulated)

@@ -1,7 +1,7 @@
 """Properties of the utility surface and the dual quadrature at random inputs."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multiscale_portfolio.merton import _DualCore, merton_pack
 from multiscale_portfolio.utility import make_utility
@@ -44,14 +44,29 @@ def test_derivatives_match_u_and_du(u, k, log_x):
 
 
 @PROPERTY
-@given(gamma=st.floats(0.05, 0.8), lam=st.floats(0.0, 1.0), tau=st.floats(0.01, 1.0),
+@given(gamma=st.floats(0.05, 0.875), lam=st.floats(0.0, 1.0), tau=st.floats(0.01, 1.0),
        x=log_uniform(1e-3, 1e3))
+@example(gamma=0.875, lam=1.0, tau=1.0, x=1.0)
 def test_dual_matches_the_power_closed_form(gamma, lam, tau, x):
+    # up to gamma 0.875: from about 0.9 the closed-form inverse marginal
+    # (y/c)^(1/(g-1)) itself overflows at the far quadrature nodes
     u = make_utility("power", gamma=gamma)
-    dual = _DualCore(u).evaluate(lam, tau, x, order=3)
-    exact = merton_pack(u, lam, tau, np.array(x), order=3)
-    for k in dual:
+    dual = _DualCore(u).evaluate(lam, tau, x, order=4)
+    exact = merton_pack(u, lam, tau, np.array(x), order=4)
+    for k in dual.keys() - {"r_xx"}:
         assert abs(dual[k] / exact[k] - 1.0) <= 1e-12, k
+    assert abs(x * dual["r_xx"]) <= 1e-10  # the closed form's r_xx is 0
+
+
+@PROPERTY
+@given(u=mixtures((0.05, 0.8)), s=st.floats(0.0, 4.0), tau=st.floats(0.05, 1.0),
+       x=st.lists(log_uniform(1e-4, 1e4), min_size=1, max_size=8))
+def test_dual_pack_is_finite_over_the_far_nodes(u, s, tau, x):
+    # the order-4 pack reads U''' and U'''' only through ratios to U'', which
+    # stay in float range at the far quadrature nodes, where powers of U'' do not
+    pack = _DualCore(u).evaluate(np.sqrt(s / tau), tau, np.array(x), order=4)
+    for k, v in pack.items():
+        assert np.all(np.isfinite(v)), k
 
 
 @PROPERTY

@@ -574,6 +574,19 @@ def test_cli_simulate_with_terminal_records(tmp_path):
     assert len(term) == 2001
 
 
+def test_cli_simulate_runs_a_three_component_mixture(tmp_path, capsys):
+    # its Merton table (s_max 3.11) reads the dual at quadrature nodes far
+    # enough out that powers of U'' would leave the float range
+    cfg = tmp_path / "mixture.cfg"
+    cfg.write_text(_edited_default(
+        ("kind = power\ngamma = 0.5",
+         "kind = power_mixture\nweights = 1, 1, 1\nexponents = 0.2, 0.5, 0.8"),
+        ("sharpe_params = 0.5, 0.25, 0.35", "sharpe_params = 0.9, 0.25, 0.35")))
+    code = run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--paths", "64"])
+    assert code == 0, capsys.readouterr().out
+    assert len((tmp_path / "simulation.csv").read_text().splitlines()) == 4
+
+
 def test_cli_output_dir_env_override(tmp_path, monkeypatch):
     target = tmp_path / "env_out"
     monkeypatch.setenv("MSPORT_OUTPUT_DIR", str(target))

@@ -1,5 +1,7 @@
 """Merton solvers: closed form, dual quadrature, finite difference, operators."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -242,11 +244,26 @@ def test_dual_evaluate_reuses_the_newton_nodes(monkeypatch):
     assert np.array_equal(pack["m"], vt + x * y)
     assert np.array_equal(pack["m_xx"], -1.0 / vyy)
     assert np.array_equal(pack["r"], y * vyy)
-    assert np.array_equal(pack["r_x"], -1.0 - y * vyyy / vyy)
-    assert np.array_equal(pack["m_x3"], -vyyy / vyy**3)
-    assert np.array_equal(pack["m_x4"], vyyyy / vyy**4 - 3.0 * vyyy**2 / vyy**5)
-    assert np.array_equal(pack["r_xx"],
-                          (vyyy / vyy + y * (vyyyy * vyy - vyyy**2) / vyy**2) / vyy)
+    big_a = vyyy / vyy
+    a, b = big_a / vyy, (3.0 * big_a * big_a - vyyyy / vyy) / (vyy * vyy)
+    assert np.array_equal(pack["r_x"], -1.0 - pack["r"] * a)
+    assert np.array_equal(pack["m_x3"], a * pack["m_xx"])
+    assert np.array_equal(pack["m_x4"], b * pack["m_xx"])
+    assert np.array_equal(pack["r_xx"], a + pack["r"] * (2.0 * a * a - b))
+
+
+def test_dual_pack_stays_finite_at_the_far_nodes():
+    # the far Gauss-Hermite nodes put x_i = I(y e_i) near 1e+-60 and beyond,
+    # where U''^5 underflows; the ratios to U'' and to Vt_yy stay in range
+    u = make_utility("power_mixture", weights=(1, 1, 1), exponents=(0.2, 0.5, 0.8))
+    rng = np.random.default_rng(0)
+    x = np.exp(rng.uniform(np.log(1e-4), np.log(1e4), 4000))
+    lam = rng.uniform(0.0, 1.5, 4000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pack = _DualCore(u).evaluate(lam, 1.0, x, order=4)
+    for k, v in pack.items():
+        assert np.all(np.isfinite(v)), k
 
 
 def test_table_build_calls_du_only_for_the_newton_seeds(monkeypatch):
@@ -354,7 +371,7 @@ def test_merton_table_certificate(mixture_table):
     tau = 0.8
     lam = np.sqrt(s / tau)
     assert np.all(table.covers(s, x))
-    got = table.evaluate(lam, tau, x, order=4)
+    got = table.evaluate(lam, tau, x, order=4)[0]
     exact = table.dual.evaluate(lam, tau, x, order=4)
     for k in ("m_x", "m_xx", "r", "r_x"):
         assert np.max(np.abs(got[k] / exact[k] - 1.0)) <= 1e-7, k
@@ -376,8 +393,8 @@ def test_merton_table_sweep_matches_proxy_seeded_rows(mixture_table, monkeypatch
     x = np.exp(rng.uniform(*np.log(TABLE_X_RANGE), n))
     tau = 0.8
     lam = np.sqrt(s / tau)
-    got = mixture_table.evaluate(lam, tau, x, order=4)
-    want = proxy.evaluate(lam, tau, x, order=4)
+    got = mixture_table.evaluate(lam, tau, x, order=4)[0]
+    want = proxy.evaluate(lam, tau, x, order=4)[0]
     for k in ("m_x", "m_xx", "r", "r_x"):
         assert np.max(np.abs(got[k] / want[k] - 1.0)) <= 1e-12, k
     assert np.max(x * np.abs(got["r_xx"] - want["r_xx"])) <= 1e-12
@@ -390,16 +407,17 @@ def test_merton_table_leaves_off_box_points_to_the_exact_dual(mixture_table):
     lam = np.array([0.8, 0.8, 0.3, 3.0, 1.0])  # lam^2 tau = 4.5 > s_max at x = 2
     inside = table.covers(lam**2 * tau, x)
     assert inside.tolist() == [False, True, False, False, False]
-    got = table.evaluate(lam, tau, x, order=3)
+    got = table.evaluate(lam, tau, x, order=3)[0]
     exact = table.dual.evaluate(lam[~inside], tau, x[~inside], order=3)
     for k in got:
         assert np.array_equal(got[k][~inside], exact[k])
-    assert np.array_equal(got["r"][inside], table.evaluate(0.8, tau, 0.7)["r"].reshape(1))
+    assert np.array_equal(got["r"][inside], table.evaluate(0.8, tau, 0.7)[0]["r"].reshape(1))
 
 
-def test_merton_pack_serves_the_table_pack(mixture_table):
-    x = np.array([0.5, 2.0])
-    pack = merton_pack(MIXTURE, 0.9, 0.4, x, order=4, dual=mixture_table)
-    assert np.array_equal(pack["r"], mixture_table.evaluate(0.9, 0.4, x, order=4)["r"])
-    terminal = merton_pack(MIXTURE, 0.9, 0.0, x, order=2, dual=mixture_table)
-    assert np.array_equal(terminal["r"], MIXTURE.risk_tolerance(x))  # U itself at tau = 0
+def test_merton_pack_at_the_horizon_is_the_utility():
+    # tau = 0: m and r are U's own loops bit for bit, with or without a dual
+    x = np.array([1e-4, 0.5, 2.0, 1e4])
+    for dual in (None, _DualCore(MIXTURE)):
+        terminal = merton_pack(MIXTURE, 0.9, 0.0, x, order=4, dual=dual)
+        assert np.array_equal(terminal["m"], MIXTURE.u(x))
+        assert np.array_equal(terminal["r"], MIXTURE.risk_tolerance(x))

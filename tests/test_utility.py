@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from multiscale_portfolio.merton import merton_pack
 from multiscale_portfolio.utility import make_utility
 
 
@@ -111,7 +112,7 @@ def test_risk_tolerance_origin_and_slope_bounded():
     u = make_utility("power_mixture", weights=(1.0, 1.0), exponents=(0.5, 0.25))
     assert u.risk_tolerance(1e-10) < 1e-8
     xs = np.logspace(-3, 3, 200)
-    slopes = u.risk_tolerance_x(xs)
+    slopes = merton_pack(u, 0.0, 0.0, xs, order=3)["r_x"]
     assert np.all(np.isfinite(slopes))
     assert np.max(np.abs(slopes)) < 10.0
 
