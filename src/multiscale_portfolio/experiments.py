@@ -165,8 +165,6 @@ _SCHEMA = {
         "y0": (float, 0.0),
         "z0": (float, 0.0),
         "seed": (int, 0),
-        "antithetic": (_parse_bool, True),
-        "control_variate": (_parse_bool, True),
         "chunk_size": (int, 16384),
         "workers": (int, 1),
     },
@@ -267,8 +265,6 @@ x0 = 1.0
 y0 = 0.0
 z0 = 0.0
 seed = 20270811
-antithetic = true
-control_variate = true
 chunk_size = 16384
 workers = 1
 
@@ -570,9 +566,8 @@ def optimality_study(cfg: RunConfig) -> OptimalityStudy:
         base_stat = base.utility_terminal - base.control_variate
         for ens in ensembles:
             stat = ens.utility_terminal - ens.control_variate
-            est = summarize(ens, sim_cfg.chunk_size)
-            gap, gap_se, _ = paired_mean_se(stat - base_stat, sim_cfg.antithetic,
-                                            sim_cfg.chunk_size)
+            est = summarize(ens)
+            gap, gap_se, _ = paired_mean_se(stat - base_stat, ens.chunk_size)
             ell, ell_se = gap / norm, gap_se / norm
             verdict = "PASS" if ell <= 2.0 * ell_se else "FAIL"
             rows.append(dict(zip(OPTIMALITY_HEADER, (eps, delta, ens.strategy_name, est.mean,
@@ -867,7 +862,7 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path, terminal_csv: str | None) -> str
     ensembles = run_ensembles(model, roster, bundle, sim_cfg, collect_drag=True)
     rows = []
     for ens in ensembles:
-        est = summarize(ens, sim_cfg.chunk_size)
+        est = summarize(ens)
         rows.append(dict(zip(SIMULATION_HEADER, (ens.strategy_name, est.mean, est.se, est.n_paths,
                                                  est.floor_hit_rate,
                                                  est.diagnostics["drag_sign_ok"]))))

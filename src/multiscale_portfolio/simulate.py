@@ -25,9 +25,11 @@ bumps cannot be pickled; only chunk indices go out and chunk records come
 back.  The caller builds any Merton table before forking, so no child builds
 its own.  With one worker or one chunk no process starts.
 
-Variance reduction: antithetic pairing within chunks, and an optional
-martingale control variate accumulating the Ito martingale part of the
-first-order value approximation Q along each path,
+Variance reduction runs on every run.  Each chunk draws half its paths' noise
+and mirrors it, so paths j and j + n/2 of a chunk of n paths are antithetic
+partners, which ``summarize`` reads from the ensemble's chunk size.  Every
+path accumulates the martingale control variate, the Ito martingale part of
+the first-order value approximation Q along the path,
 
     CV = sum_n  Q_x m + Q_z sqrt(delta) g dW^Z + Q_y dY_mart
                 + (1/2) Q_xx (m^2 - x_d^2 expm1(f^2 sigma^2 dt)),
@@ -192,6 +194,7 @@ class SimConfig:
 
     `dt` is a target step; the engine uses T/n_steps with
     n_steps = ceil(T/dt), so the effective step never exceeds the target.
+    Every chunk is antithetic pairs, so `n_paths` and `chunk_size` are even.
     """
 
     n_paths: int
@@ -201,16 +204,14 @@ class SimConfig:
     y0: float = 0.0
     z0: float = 0.0
     seed: int = 0
-    antithetic: bool = True
-    control_variate: bool = False
     chunk_size: int = 16384
     workers: int = 1
 
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("n_paths must be positive")
-        if self.antithetic and (self.n_paths < 2 or self.n_paths % 2 or self.chunk_size % 2):
-            raise ValueError("antithetic runs need even n_paths and even chunk_size")
+        if self.n_paths % 2 or self.chunk_size % 2:
+            raise ValueError("antithetic pairs need even n_paths and even chunk_size")
         if self.horizon <= 0.0 or self.dt <= 0.0:
             raise ValueError("horizon and dt must be positive")
         if not self.x0 > 0.0:
@@ -238,12 +239,14 @@ def dt_for(model: MarketModel, divisor: int = _STEP_DIVISOR) -> float:
 @dataclass
 class PathEnsemble:
     """Per-path terminal records and streamed diagnostics for one strategy,
-    over one chunk's paths or, merged in chunk order, over a whole run."""
+    over one chunk's paths or, merged in chunk order, over a whole run.
+    ``chunk_size`` fixes the antithetic pairs: (j, j + n/2) within each chunk
+    of n paths, the last chunk possibly shorter."""
 
     strategy_name: str
     n_paths: int
     n_steps: int
-    antithetic: bool
+    chunk_size: int
     x_terminal: np.ndarray
     utility_terminal: np.ndarray
     control_variate: np.ndarray
@@ -325,9 +328,8 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
     ou_std = model.fast.vol * math.sqrt(max(0.0, 1.0 - ou_decay**2))
     ou_mean = model.fast.mean
 
-    n_draw = n_chunk // 2 if cfg.antithetic else n_chunk
     # the records accumulate in place; x_terminal is the running wealth until the end
-    recs = [PathEnsemble(strat.name, n_chunk, n_steps, cfg.antithetic,
+    recs = [PathEnsemble(strat.name, n_chunk, n_steps, cfg.chunk_size,
                          np.full(n_chunk, cfg.x0), None, np.zeros(n_chunk)) for strat in strategies]
     for rec in recs if collect_drag else ():
         rec.drag_max_increment = np.full(n_chunk, -np.inf)
@@ -337,9 +339,8 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
 
     for step in range(n_steps):
         t = step * dt
-        eta = rng.standard_normal((3, n_draw))
-        if cfg.antithetic:
-            eta = np.concatenate([eta, -eta], axis=1)
+        eta = rng.standard_normal((3, n_chunk // 2))
+        eta = np.concatenate([eta, -eta], axis=1)
         w_std = eta[0]
         wy_std = chol[1, 0] * eta[0] + chol[1, 1] * eta[1]
         wz_std = chol[2, 0] * eta[0] + chol[2, 1] * eta[1] + chol[2, 2] * eta[2]
@@ -353,22 +354,20 @@ def _simulate_chunk(model, strategies, bundle, cfg, chunk_index, n_chunk,
         lam_over_sig = lam / sig
         gz = model.slow_vol(z)
         # one factor lookup and one set of CV coefficients per step, for every strategy
-        coefs = bundle.q_coefficients(t, y, z) if cfg.control_variate else None
-        rms = coefs[3] if coefs is not None else bundle.averages.sharpe_rms(z)
+        coefs = bundle.q_coefficients(t, y, z)
 
         for strat, rec in zip(strategies, recs):
             x = rec.x_terminal
             # one step state per strategy-step: the position, the CV and the drag read its pack
-            point = bundle.state(t, x, y, z, rms, lam_over_sig)
+            point = bundle.state(t, x, y, z, coefs[3], lam_over_sig)
             rec.surface_exact_points += point.n_exact
             pi = strat.position(point)
             x_d, growth, var = wealth_step(x, pi, mu, sig, dt, dw)
 
-            if cfg.control_variate:
-                qx, qz, qy, qxx = bundle.q_gradients(t, x, y, z, coefs, point.pack)
-                m = x_d * (growth - 1.0)  # the wealth step's martingale part
-                rec.control_variate += (qx * m + qz * sqrt_delta * gz * dwz + qy * dy_mart
-                                        + 0.5 * qxx * (m * m - x_d * x_d * np.expm1(var)))
+            qx, qz, qy, qxx = bundle.q_gradients(t, x, y, z, coefs, point.pack)
+            m = x_d * (growth - 1.0)  # the wealth step's martingale part
+            rec.control_variate += (qx * m + qz * sqrt_delta * gz * dwz + qy * dy_mart
+                                    + 0.5 * qxx * (m * m - x_d * x_d * np.expm1(var)))
 
             if collect_drag:
                 if point.bumps is not None:
@@ -481,10 +480,8 @@ def _merge(records: list[PathEnsemble]) -> PathEnsemble:
     )
 
 
-def _pair_statistics(values: np.ndarray, antithetic: bool, chunk_size: int):
-    if not antithetic:
-        return values
-    # pairs are (j, j + n_draw) within each chunk
+def _pair_statistics(values: np.ndarray, chunk_size: int):
+    """The means of antithetic partners, (j, j + n/2) within each chunk."""
     out = []
     n = values.shape[0]
     for a in range(0, n, chunk_size):
@@ -495,12 +492,12 @@ def _pair_statistics(values: np.ndarray, antithetic: bool, chunk_size: int):
     return np.concatenate(out)
 
 
-def paired_mean_se(values: np.ndarray, antithetic: bool,
-                   chunk_size: int) -> tuple[float, float, int]:
-    """Mean, standard error and count of the per-path ``values``: antithetic
-    partners are averaged into one observation, and an observation with a
-    non-finite member (an aborted path) is dropped."""
-    per_obs = _pair_statistics(values, antithetic, chunk_size)
+def paired_mean_se(values: np.ndarray, chunk_size: int) -> tuple[float, float, int]:
+    """Mean, standard error and count of the per-path ``values`` of an
+    ensemble in chunks of ``chunk_size``: antithetic partners are averaged into
+    one observation, and an observation with a non-finite member (an aborted
+    path) is dropped."""
+    per_obs = _pair_statistics(values, chunk_size)
     per_obs = per_obs[np.isfinite(per_obs)]
     n_eff = per_obs.shape[0]
     if n_eff == 0:
@@ -509,20 +506,19 @@ def paired_mean_se(values: np.ndarray, antithetic: bool,
     return float(np.sum(per_obs) / n_eff), se, n_eff
 
 
-def summarize(ensemble: PathEnsemble, chunk_size: int) -> ValueEstimate:
+def summarize(ensemble: PathEnsemble) -> ValueEstimate:
     """Mean/SE of terminal utility minus the control variate by
-    ``paired_mean_se`` (a run without the CV carries a CV of exactly 0).
-    The diagnostics carry the SE of the utility alone (``se_raw``), the
-    variance reduction (se_raw / se)^2 (``cv_variance_ratio``, 1 without the
-    CV), the aborted paths (those whose utility or CV is not finite; the
-    raw SE drops the same pairs) and, with the drag, its exact sign test: the
+    ``paired_mean_se`` over the ensemble's own pairs.  The diagnostics carry
+    the SE of the utility alone (``se_raw``), the variance reduction
+    (se_raw / se)^2 (``cv_variance_ratio``), the aborted paths (those whose
+    utility or CV is not finite; the raw SE drops the same pairs) and, with the drag, its exact sign test: the
     largest increment (``drag_max_increment``), the paths with a positive one
     (``drag_positive_paths``) and whether there are none (``drag_sign_ok``)."""
     stat = ensemble.utility_terminal - ensemble.control_variate
     kept = np.isfinite(stat)
-    mean, se, n_eff = paired_mean_se(stat, ensemble.antithetic, chunk_size)
+    mean, se, n_eff = paired_mean_se(stat, ensemble.chunk_size)
     se_raw = paired_mean_se(np.where(kept, ensemble.utility_terminal, np.nan),
-                            ensemble.antithetic, chunk_size)[1]
+                            ensemble.chunk_size)[1]
     n_aborted = int(np.sum(~kept))
     cv = ensemble.control_variate[np.isfinite(ensemble.control_variate)]
     diagnostics = {
@@ -553,7 +549,7 @@ def estimate_value(model: MarketModel, strategy: Strategy, bundle: ExpansionBund
                    cfg: SimConfig) -> ValueEstimate:
     """Monte Carlo estimate of E[U(X_T)] under one strategy."""
     ens = run_ensembles(model, [strategy], bundle, cfg, collect_drag=False)[0]
-    return summarize(ens, cfg.chunk_size)
+    return summarize(ens)
 
 
 def write_terminal_records(ensemble: PathEnsemble, fh) -> None:

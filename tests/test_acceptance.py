@@ -203,13 +203,12 @@ def test_criterion_6_asymptotic_optimality(reference_cfg):
     closed = x0**gamma / gamma * math.exp(
         (factor - 0.5 * factor**2) * gamma * lam**2 * horizon / (1.0 - gamma)
     )
-    raw_mean, raw_se, _ = paired_mean_se(ensembles[1].utility_terminal, sim_cfg.antithetic,
-                                         sim_cfg.chunk_size)
+    raw_mean, raw_se, _ = paired_mean_se(ensembles[1].utility_terminal, sim_cfg.chunk_size)
     b_value_ok = abs(raw_mean - closed) <= 3.0 * raw_se
     diff = _pair_statistics(
         (ensembles[1].utility_terminal - ensembles[1].control_variate)
         - (ensembles[0].utility_terminal - ensembles[0].control_variate),
-        sim_cfg.antithetic, sim_cfg.chunk_size,
+        sim_cfg.chunk_size,
     )
     norm = 2.0 * math.sqrt(0.05)
     ell = float(np.mean(diff)) / norm
@@ -228,15 +227,14 @@ def test_criterion_6_asymptotic_optimality(reference_cfg):
 
 def test_criterion_7_drag_sign_tests(reference_cfg):
     t0 = time.monotonic()
-    cfg = replace(reference_cfg, n_paths=10000, epsilons=(0.1,), deltas=(0.1,),
-                  control_variate=False)
+    cfg = replace(reference_cfg, n_paths=10000, epsilons=(0.1,), deltas=(0.1,))
     model = build_model(cfg, 0.1, 0.1)
     bundle = build_bundle(cfg, model)
     sim_cfg = sim_config_for(cfg, model)
     base, perturbed, scaled = build_challengers(cfg, bundle)
     ens_p, ens_s = run_ensembles(model, [perturbed, scaled], bundle, sim_cfg, collect_drag=True)
-    verdict_p = summarize(ens_p, sim_cfg.chunk_size).diagnostics
-    verdict_s = summarize(ens_s, sim_cfg.chunk_size).diagnostics
+    verdict_p = summarize(ens_p).diagnostics
+    verdict_s = summarize(ens_s).diagnostics
     elapsed = time.monotonic() - t0
     report(
         "criterion 7 (pathwise drag sign tests)",

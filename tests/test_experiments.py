@@ -197,34 +197,31 @@ def test_residual_study_schema_and_resolution(small_residual):
     assert small_residual.verdict in ("PASS", "UNRESOLVED")
 
 
-def test_constant_model_residual_is_statistical_zero(default_cfg):
-    cfg = replace(
-        default_cfg,
-        sharpe_name="const", sharpe_params=(0.5,),
-        slow_drift_name="zero", slow_drift_params=(),
-        slow_vol_name="const", slow_vol_params=(0.0,),
-        epsilons=(0.4, 0.2, 0.1), deltas=(0.4, 0.2, 0.1),
-        n_paths=4000, chunk_size=1000, control_variate=False,
-    )
-    study = residual_order_study(cfg)
+@pytest.fixture(scope="module")
+def constant_model_study(default_cfg):
     # Q = leading order = exact value; the residual is discretization noise only
-    for r in study.rows:
-        assert abs(r["residual"]) <= 4.0 * r["se"]
-    assert study.verdict == "UNRESOLVED"
-
-
-def test_constant_model_residual_with_the_control_variate_is_statistical_zero(default_cfg):
-    # Q is exact here, so a residual many SE from zero is the discretization's
     cfg = replace(
         default_cfg,
         sharpe_name="const", sharpe_params=(0.5,),
         slow_drift_name="zero", slow_drift_params=(),
         slow_vol_name="const", slow_vol_params=(0.0,),
         epsilons=(0.4, 0.2, 0.1), deltas=(0.4, 0.2, 0.1),
-        n_paths=4000, chunk_size=1000, control_variate=True,
+        n_paths=4000, chunk_size=1000,
     )
-    study = residual_order_study(cfg)
-    for r in study.rows:
+    return residual_order_study(cfg)
+
+
+def test_constant_model_residual_is_statistical_zero(constant_model_study):
+    # against the raw SE, as an estimate without the control variate would be
+    for r in constant_model_study.rows:
+        assert abs(r["residual"]) <= 4.0 * r["se_raw"]
+    assert constant_model_study.verdict == "UNRESOLVED"
+
+
+def test_constant_model_residual_with_the_control_variate_is_statistical_zero(constant_model_study):
+    # Q is exact here, so a residual many SE from zero is the discretization's
+    for r in constant_model_study.rows:
+        assert r["se"] < r["se_raw"]
         assert abs(r["residual"]) <= 4.0 * r["se"]
 
 
